@@ -43,7 +43,7 @@ from .recourse import (
     Solution,
     evaluate_total,
     optimal_recourse,
-    shortfall,
+    shortfalls,
 )
 from .similarity import (
     CategoryCorpus,

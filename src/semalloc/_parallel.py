@@ -1,9 +1,8 @@
-"""Deterministic worker-pool helper; parallelism is capped by SEMALLOC_THREADS."""
+"""Ordered map over independent tasks; SEMALLOC_THREADS is validated, work runs sequentially."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 from .errors import ConfigurationError
@@ -29,14 +28,10 @@ def thread_count() -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map ``fn`` over ``items``, preserving input order.
+    """Map ``fn`` over ``items`` in input order, after validating SEMALLOC_THREADS.
 
-    Results are identical for any thread count: tasks are independent and the
-    output list is ordered by input index, not completion time.
+    The tasks are pure Python, which the interpreter lock runs one thread at a
+    time, so they run one after another and results match for any thread count.
     """
-    work = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(work) <= 1:
-        return [fn(item) for item in work]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, work))
+    thread_count()
+    return [fn(item) for item in items]

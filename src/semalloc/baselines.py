@@ -83,7 +83,7 @@ def solve_random(instance: ProblemInstance, config: RandomSchemeConfig) -> Rando
     Generator pinned for cross-run reproducibility: PCG64 seeded through
     ``SeedSequence((seed, sample_index))``, bundle counts drawn with
     ``Generator.integers``.  Per-sample seeding makes results independent of
-    evaluation order, so samples may run in parallel.
+    evaluation order.
     """
     upper = np.zeros((instance.num_vsps, instance.num_devices), dtype=np.int64)
     for w in range(instance.num_vsps):

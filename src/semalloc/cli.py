@@ -3,7 +3,8 @@
 CSV columns are named after the quantities they hold (probability, stage
 costs, totals) so any plotting tool reproduces the standard cost-structure,
 probability-sweep, and scheme-comparison figures directly.  All outputs are
-byte-deterministic for fixed inputs, seeds, and SEMALLOC_THREADS.
+byte-deterministic for fixed inputs and seeds; SEMALLOC_THREADS is validated
+but every command runs sequentially, so its value never changes a byte.
 """
 
 from __future__ import annotations

@@ -11,15 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core_model import (
     CostBreakdown,
+    EdgeDevice,
     ProblemInstance,
     on_demand_unit_cost,
     reservation_bundle_cost,
 )
+
+SHORTFALL_TOL = 1e-9  # relative window within which a coverage gap counts as closed
 
 
 def _frozen_int_array(values, shape_name: str, ndim: int) -> np.ndarray:
@@ -90,20 +94,65 @@ def cheapest_device(instance: ProblemInstance) -> int:
     return min(range(len(costs)), key=lambda e: (costs[e], e))
 
 
-def shortfall(w: int, scenario_index: int, plan: ReservationPlan, instance: ProblemInstance) -> int:
-    """Minimum integer on-demand volume VSP ``w`` needs in the given scenario.
+def snap(requirement):
+    """Requirement (scalar or array) lowered by ``SHORTFALL_TOL * max(1, requirement)``.
+
+    Coverage is a float sum, so an exact cover, or a whole-unit gap, can be off
+    by a rounding error; measured against the snapped requirement, such a gap
+    rounds to its integer instead of buying a phantom on-demand unit.
+    """
+    return requirement - SHORTFALL_TOL * np.maximum(1.0, requirement)
+
+
+def snapped_requirements(instance: ProblemInstance) -> np.ndarray:
+    """Snapped requirements of every VSP, indexed (vsp, scenario)."""
+    rows = [[demand.requirement for demand in scen.per_vsp] for scen in instance.scenarios]
+    return snap(np.array(rows, dtype=np.float64).reshape(instance.num_scenarios, instance.num_vsps).T)
+
+
+def shortfalls(bundles, instance: ProblemInstance) -> np.ndarray:
+    """Minimum integer on-demand volume per (vsp, scenario) for a (vsp, device) bundle matrix.
 
     Reserved coverage counts bundle transmissions scaled by the similarity
-    score; the fractional gap to the requirement is rounded up because
-    purchases are whole transmissions.
+    score; the gap to the snapped requirement is rounded up because purchases
+    are whole transmissions.
     """
-    demand = instance.scenarios[scenario_index].per_vsp[w]
-    coverage = 0.0
-    for e, dev in enumerate(instance.devices):
-        coverage += (
-            float(plan.bundles[w, e]) * dev.bundle_size * instance.similarity[w, e, scenario_index]
-        )
-    return int(math.ceil(max(0.0, demand.requirement - coverage)))
+    sizes = np.array([dev.bundle_size for dev in instance.devices], dtype=np.float64)
+    per_bundle = sizes[:, None] * instance.similarity
+    coverage = np.einsum("we,wen->wn", np.asarray(bundles, dtype=np.float64), per_bundle)
+    gap = np.maximum(0.0, snapped_requirements(instance) - coverage)
+    return np.ceil(gap).astype(np.int64)
+
+
+def recourse_cost_fn(
+    needs: Sequence[float], probabilities: Sequence[float], unit_cost: float
+) -> Callable[[Sequence[float]], float]:
+    """One VSP's expected on-demand cost as a function of its per-scenario coverage.
+
+    The scalar form of :func:`shortfalls`, called once per search leaf;
+    ``needs`` are the VSP's snapped requirements.
+    """
+
+    def cost(covered: Sequence[float]) -> float:
+        expected = 0.0
+        for p, need, cov in zip(probabilities, needs, covered):
+            if need > cov:
+                expected += p * math.ceil(need - cov) * unit_cost
+        return expected
+
+    return cost
+
+
+def stage1_costs(bundles, devices: Sequence[EdgeDevice]) -> tuple[float, float]:
+    """Membership and reservation totals, summed vsp-major; membership is paid where bundles are."""
+    membership_total = 0.0
+    reservation_total = 0.0
+    for row in np.asarray(bundles).tolist():
+        for count, dev in zip(row, devices):
+            if count >= 1:
+                membership_total += dev.membership_cost
+                reservation_total += float(count) * reservation_bundle_cost(dev)
+    return membership_total, reservation_total
 
 
 def optimal_recourse(plan: ReservationPlan, instance: ProblemInstance) -> RecourseDecision:
@@ -114,13 +163,8 @@ def optimal_recourse(plan: ReservationPlan, instance: ProblemInstance) -> Recour
     keeps output deterministic.
     """
     num_vsps, num_devices = plan.bundles.shape
-    target = cheapest_device(instance)
     tensor = np.zeros((num_vsps, num_devices, instance.num_scenarios), dtype=np.int64)
-    for i in range(instance.num_scenarios):
-        for w in range(num_vsps):
-            gap = shortfall(w, i, plan, instance)
-            if gap:
-                tensor[w, target, i] = gap
+    tensor[:, cheapest_device(instance), :] = shortfalls(plan.bundles, instance)
     return RecourseDecision(tensor)
 
 
@@ -129,29 +173,18 @@ def evaluate_total(plan: ReservationPlan, instance: ProblemInstance) -> Solution
 
     Membership is normalized to exactly the devices with bundles; paying a
     membership without bundles buys nothing.  Summation order is fixed
-    (scenario-major, then vsp, then device) so results never depend on
-    evaluation order.
+    (stage 1 vsp-major; recourse scenario-major, then vsp) so results never
+    depend on evaluation order.
     """
     normalized = ReservationPlan.from_bundles(plan.bundles)
-    membership_total = 0.0
-    reservation_total = 0.0
-    for w in range(normalized.bundles.shape[0]):
-        for e, dev in enumerate(instance.devices):
-            if normalized.bundles[w, e] >= 1:
-                membership_total += dev.membership_cost
-                reservation_total += float(normalized.bundles[w, e]) * reservation_bundle_cost(dev)
+    membership_total, reservation_total = stage1_costs(normalized.bundles, instance.devices)
 
     recourse = optimal_recourse(normalized, instance)
-    unit_costs = [on_demand_unit_cost(dev) for dev in instance.devices]
+    target = cheapest_device(instance)
+    unit_cost = on_demand_unit_cost(instance.devices[target])
     expected = 0.0
-    for i, scen in enumerate(instance.scenarios):
-        scenario_cost = 0.0
-        for w in range(normalized.bundles.shape[0]):
-            for e in range(normalized.bundles.shape[1]):
-                units = int(recourse.on_demand[w, e, i])
-                if units:
-                    scenario_cost += units * unit_costs[e]
-        expected += scen.probability * scenario_cost
+    for scen, column in zip(instance.scenarios, recourse.on_demand[:, target, :].T.tolist()):
+        expected += scen.probability * sum(units * unit_cost for units in column)
 
     cost = CostBreakdown.from_parts(membership_total, reservation_total, expected)
     return Solution(plan=normalized, recourse=recourse, cost=cost)

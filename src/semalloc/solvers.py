@@ -27,11 +27,20 @@ from .core_model import (
     validate_instance,
 )
 from .errors import InfeasibleError, NodeLimitError, ValidationFailure
-from .recourse import RecourseDecision, ReservationPlan, Solution, evaluate_total
+from .recourse import (
+    RecourseDecision,
+    ReservationPlan,
+    Solution,
+    evaluate_total,
+    recourse_cost_fn,
+    snap,
+    snapped_requirements,
+    stage1_costs,
+)
 
-# Window within which two plan costs count as tied; ties are resolved by the
-# lexicographic rule, and pruning keeps tied subtrees alive so the rule can act.
-TIE_EPS = 1e-9
+# Costs within TIE_REL * max(1, best cost) of the incumbent count as tied; ties
+# are resolved by the lexicographic rule, and pruning keeps tied subtrees alive.
+TIE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,21 +88,16 @@ class DipInstance:
 class SolverConfig:
     """Knobs for the branch-and-bound search.
 
-    ``cost_tolerance`` widens the incumbent-improvement test; the default 0
-    keeps comparisons exact apart from the documented TIE_EPS tie window.
     ``bundle_cap_override`` replaces the computed per-(vsp, device) search
     bounds when provided.
     """
 
     bundle_cap_override: np.ndarray | None = None
     node_limit: int = 10_000_000
-    cost_tolerance: float = 0.0
 
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
-        if self.cost_tolerance < 0:
-            raise ValueError(f"cost_tolerance must be >= 0, got {self.cost_tolerance}")
         if self.bundle_cap_override is not None:
             caps = np.array(self.bundle_cap_override, dtype=np.int64, copy=True)
             if (caps < 0).any():
@@ -132,30 +136,30 @@ class _SearchOutcome:
 
 
 def _dfs_bundle_search(
-    num_devices: int,
     order: Sequence[int],
     upper_bounds: Sequence[int],
     membership_costs: Sequence[float],
     bundle_costs: Sequence[float],
-    leaf_cost: Callable[[list[int]], float | None],
+    coverage_rows: Sequence[Sequence[float]],
+    leaf_cost: Callable[[list[float]], float | None],
     node_limit: int,
-    cost_tolerance: float,
 ) -> _SearchOutcome:
     """Depth-first search over bundle vectors with stage-1 lower-bound pruning.
 
-    ``leaf_cost`` returns the recourse (or feasibility-checked) remainder of
-    the objective for a complete vector, or None when the leaf is infeasible.
-    Bundle counts are explored in ascending order per device, so once the
-    stage-1 prefix exceeds the incumbent the remaining counts can be skipped.
+    ``leaf_cost`` maps a complete vector's per-scenario coverage (carried down
+    the recursion; ``coverage_rows[e]`` is one bundle of device ``e``) to the
+    rest of the objective, or None when the leaf is infeasible.  Bundle counts
+    ascend per device, so once the stage-1 prefix exceeds the incumbent the
+    remaining counts can be skipped.
     """
-    tie_window = max(cost_tolerance, TIE_EPS)
+    num_devices = len(order)
     best_cost: float | None = None
     best_vec: tuple[int, ...] | None = None
     vec = [0] * num_devices
     nodes = 0
     exceeded = False
 
-    def recurse(depth: int, stage1: float) -> None:
+    def recurse(depth: int, stage1: float, covered: list[float]) -> None:
         nonlocal best_cost, best_vec, nodes, exceeded
         if exceeded:
             return
@@ -164,28 +168,30 @@ def _dfs_bundle_search(
             exceeded = True
             return
         if depth == num_devices:
-            extra = leaf_cost(vec)
+            extra = leaf_cost(covered)
             if extra is None:
                 return
             cost = stage1 + extra
-            if best_cost is None or cost < best_cost - cost_tolerance:
+            if best_cost is None or cost < best_cost:
                 best_cost, best_vec = cost, tuple(vec)
-            elif cost <= best_cost + tie_window and tuple(vec) < best_vec:
+            elif cost <= best_cost + TIE_REL * max(1.0, best_cost) and tuple(vec) < best_vec:
                 best_cost, best_vec = min(cost, best_cost), tuple(vec)
             return
         device = order[depth]
+        row = coverage_rows[device]
         for count in range(upper_bounds[device] + 1):
             added = membership_costs[device] + count * bundle_costs[device] if count else 0.0
             partial = stage1 + added
-            if best_cost is not None and partial > best_cost + tie_window:
+            if best_cost is not None and partial > best_cost + TIE_REL * max(1.0, best_cost):
                 break  # counts only grow from here; the whole tail is pruned
             vec[device] = count
-            recurse(depth + 1, partial)
+            grown = [c + count * r for c, r in zip(covered, row)] if count else covered
+            recurse(depth + 1, partial, grown)
             vec[device] = 0
             if exceeded:
                 return
 
-    recurse(0, 0.0)
+    recurse(0, 0.0, [0.0] * len(coverage_rows[0]))
     return _SearchOutcome(best_cost, best_vec, nodes, exceeded)
 
 
@@ -243,54 +249,34 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
                 else 0
                 for e in range(num_devices)
             ]
-        coverage_per_bundle = [bundle_sizes[e] * float(similarity[e]) for e in range(num_devices)]
-
-        def leaf(vec: list[int]) -> float | None:
-            covered = 0.0
-            for e in range(num_devices):
-                covered += vec[e] * coverage_per_bundle[e]
-            return 0.0 if covered >= requirement else None
-
+        need = float(snap(requirement))
         outcome = _dfs_bundle_search(
-            num_devices,
             _exploration_order(bundle_costs, bundle_sizes, similarity),
             ubs,
             membership_costs,
             bundle_costs,
-            leaf,
+            [[size * float(sim)] for size, sim in zip(bundle_sizes, similarity)],
+            lambda covered: 0.0 if covered[0] >= need else None,
             config.node_limit,
-            config.cost_tolerance,
         )
+        if outcome.bundles is not None:
+            bundles[w] = outcome.bundles
         if outcome.exceeded:
             incomplete.append(w)
-            if outcome.bundles is not None:
-                bundles[w] = outcome.bundles
-            continue
-        if outcome.bundles is None:
+        elif outcome.bundles is None:
             raise InfeasibleError(
                 w, f"VSP {w}: no bundle vector within the search bounds covers {requirement}"
             )
-        bundles[w] = outcome.bundles
 
-    plan = ReservationPlan.from_bundles(bundles)
-    solution = _reservation_only_solution(plan, devices)
+    membership_total, reservation_total = stage1_costs(bundles, devices)
+    solution = Solution(
+        ReservationPlan.from_bundles(bundles),
+        RecourseDecision(np.zeros((dip.num_vsps, num_devices, 1), dtype=np.int64)),
+        CostBreakdown.from_parts(membership_total, reservation_total, 0.0),
+    )
     if incomplete:
         raise NodeLimitError(solution, incomplete, config.node_limit)
     return solution
-
-
-def _reservation_only_solution(plan: ReservationPlan, devices: Sequence[EdgeDevice]) -> Solution:
-    membership_total = 0.0
-    reservation_total = 0.0
-    for w in range(plan.bundles.shape[0]):
-        for e, dev in enumerate(devices):
-            if plan.bundles[w, e] >= 1:
-                membership_total += dev.membership_cost
-                reservation_total += float(plan.bundles[w, e]) * reservation_bundle_cost(dev)
-    recourse = RecourseDecision(
-        np.zeros((plan.bundles.shape[0], plan.bundles.shape[1], 1), dtype=np.int64)
-    )
-    return Solution(plan, recourse, CostBreakdown.from_parts(membership_total, reservation_total, 0.0))
 
 
 def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> Solution:
@@ -298,8 +284,8 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
 
     Decomposes per VSP, searches each bundle lattice depth-first with stage-1
     lower bounds, and evaluates leaves with the closed-form recourse.  VSP
-    subproblems are independent and may run in parallel; the merged result is
-    order-independent.  Exceeding the per-subproblem node budget raises
+    subproblems are independent, so the merged result does not depend on the
+    order they are solved in.  Exceeding the per-subproblem node budget raises
     :class:`NodeLimitError` carrying the best incumbent, never a silent
     suboptimal answer.
     """
@@ -315,45 +301,29 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
     bundle_sizes = [dev.bundle_size for dev in devices]
     cheapest_unit = min(on_demand_unit_cost(dev) for dev in devices)
     probabilities = [scen.probability for scen in instance.scenarios]
+    snapped = snapped_requirements(instance)
+    sizes = np.array(bundle_sizes, dtype=np.float64)
 
     def solve_vsp(w: int) -> _SearchOutcome:
-        requirements = [instance.requirement(w, i) for i in range(instance.num_scenarios)]
-        if all(req <= 0.0 for req in requirements):
+        needs = snapped[w].tolist()
+        if all(need <= 0.0 for need in needs):
             return _SearchOutcome(0.0, (0,) * num_devices, 0, False)
         if config.bundle_cap_override is not None:
             ubs = [int(config.bundle_cap_override[w, e]) for e in range(num_devices)]
         else:
             ubs = [bundle_upper_bound(w, e, instance) for e in range(num_devices)]
-        coverage = [
-            [bundle_sizes[e] * float(instance.similarity[w, e, i]) for e in range(num_devices)]
-            for i in range(instance.num_scenarios)
-        ]
         expected_sim = [
             sum(p * float(instance.similarity[w, e, i]) for i, p in enumerate(probabilities))
             for e in range(num_devices)
         ]
-
-        def leaf(vec: list[int]) -> float:
-            expected = 0.0
-            for i, req in enumerate(requirements):
-                covered = 0.0
-                row = coverage[i]
-                for e in range(num_devices):
-                    covered += vec[e] * row[e]
-                gap = req - covered
-                if gap > 0.0:
-                    expected += probabilities[i] * math.ceil(gap) * cheapest_unit
-            return expected
-
         return _dfs_bundle_search(
-            num_devices,
             _exploration_order(bundle_costs, bundle_sizes, expected_sim),
             ubs,
             membership_costs,
             bundle_costs,
-            leaf,
+            (sizes[:, None] * instance.similarity[w]).tolist(),
+            recourse_cost_fn(needs, probabilities, cheapest_unit),
             config.node_limit,
-            config.cost_tolerance,
         )
 
     outcomes = parallel_map(solve_vsp, range(instance.num_vsps))

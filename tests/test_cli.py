@@ -130,6 +130,21 @@ class TestSolveCommand:
         assert payload["type"] == "ConfigurationError"
 
 
+class TestThreadsVariable:
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_invalid_value_is_configuration_error(self, runner, value):
+        args = ["solve", "--problem", str(sm.data_file("singapore_demo.json")), "--scheme", "sip"]
+        env = {"SEMALLOC_THREADS": value}
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 1
+        assert "SEMALLOC_THREADS" in result.stderr
+        result = runner.invoke(main, ["--json-errors", *args], env=env)
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigurationError"
+        assert "SEMALLOC_THREADS" in payload["error"]
+
+
 class TestSweepProbability:
     def test_csv_shape_and_endpoints(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -14,7 +14,7 @@ from semalloc import (
     evaluate_total,
     on_demand_unit_cost,
     optimal_recourse,
-    shortfall,
+    shortfalls,
 )
 from _support import brute_force_recourse_cost, make_random_instance, random_plan
 
@@ -50,6 +50,26 @@ def build_instance(unit_costs, similarity, quantities, probabilities=(1.0,), bun
     return ProblemInstance(devices, tuple(Vsp(w) for w in range(num_vsps)), scenarios, similarity)
 
 
+def repro_instance() -> ProblemInstance:
+    """One device whose 3 bundles cover the requirement 0.81 exactly, 3 * 3 * 0.09.
+
+    In binary floating point the coverage lands a rounding error away from the
+    requirement, which must not count as a shortfall.
+    """
+    device = EdgeDevice(
+        id=0,
+        uplink_rate=2.5e6,
+        transmit_power=0.1,
+        avg_payload_semantic=5125.0,
+        membership_cost=0.0,
+        bundle_size=3,
+        alpha_reservation=5.0,
+        alpha_on_demand=1000.0,
+    )
+    scenario = DemandScenario(1.0, (VspDemand("x", 1, 0.81),))
+    return ProblemInstance((device,), (Vsp(0),), (scenario,), [[[0.09]]])
+
+
 class TestPlanTypes:
     def test_bundles_without_membership_rejected(self):
         with pytest.raises(ValueError, match="membership"):
@@ -75,23 +95,42 @@ class TestShortfall:
     def test_partial_coverage(self):
         inst = build_instance([1.0], [[[0.8]]], [[100]])
         plan = ReservationPlan.from_bundles([[1]])
-        assert shortfall(0, 0, plan, inst) == 20
+        assert shortfalls(plan.bundles, inst)[0, 0] == 20
 
     def test_full_coverage(self):
         inst = build_instance([1.0], [[[1.0]]], [[100]])
         plan = ReservationPlan.from_bundles([[2]])
-        assert shortfall(0, 0, plan, inst) == 0
+        assert shortfalls(plan.bundles, inst)[0, 0] == 0
 
     def test_twenty_percent_gap(self):
         inst = build_instance([1.0], [[[0.8]]], [[200]], bundle_size=200)
         plan = ReservationPlan.from_bundles([[1]])
-        assert shortfall(0, 0, plan, inst) == 40
+        assert shortfalls(plan.bundles, inst)[0, 0] == 40
 
     def test_fractional_requirement_rounds_up(self):
         inst = build_instance([1.0], [[[0.75]]], [[2]], bundle_size=1)
         plan = ReservationPlan.from_bundles([[1]])
         # requirement 2, coverage 0.75 -> gap 1.25 -> 2 whole transmissions
-        assert shortfall(0, 0, plan, inst) == 2
+        assert shortfalls(plan.bundles, inst)[0, 0] == 2
+
+
+class TestPhantomUnits:
+    """Coverage that meets a requirement up to float rounding buys no extra unit."""
+
+    def test_exact_cover_has_no_shortfall(self):
+        assert shortfalls([[3]], repro_instance())[0, 0] == 0
+
+    def test_exact_integer_gap_buys_exactly_that(self, singapore):
+        # 300 required, 3 bundles of 100 at similarity 0.57 cover 171: the gap is 129
+        assert shortfalls([[1, 1, 1], [0, 0, 3]], singapore)[1, 1] == 129
+
+    @pytest.mark.parametrize("quantity", [1, 100])
+    def test_small_real_gap_still_buys_a_unit(self, quantity):
+        # coverage falls short of the requirement by about 1e-6
+        similarity = 1.0 - 1e-6 / quantity
+        inst = build_instance([1.0], [[[similarity]]], [[quantity]], bundle_size=quantity)
+        assert shortfalls([[1]], inst)[0, 0] == 1
+        assert evaluate_total(ReservationPlan.from_bundles([[1]]), inst).cost.expected_on_demand == 1.0
 
 
 class TestOptimalRecourse:
@@ -176,7 +215,7 @@ class TestRecourseProperties:
             assert math.isfinite(solution.cost.total)
             for i in range(inst.num_scenarios):
                 for w in range(inst.num_vsps):
-                    assert shortfall(w, i, solution.plan, inst) <= solution.recourse.on_demand[w, :, i].sum()
+                    assert shortfalls(solution.plan.bundles, inst)[w, i] <= solution.recourse.on_demand[w, :, i].sum()
 
     def test_scenario_additivity(self):
         rng = np.random.default_rng(45)

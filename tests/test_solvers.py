@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from _support import (
     oracle_bundle_bounds,
     random_plan,
 )
-from test_recourse import build_instance, device_with_unit_cost
+from semalloc.recourse import shortfalls
+from test_recourse import build_instance, device_with_unit_cost, repro_instance
 
 
 def make_dip(similarity, quantities, thresholds=None, bundle_size=200, membership=1.89):
@@ -218,10 +222,21 @@ class TestSolveSip:
             plan = solve_sip(inst).plan
             assert np.array_equal(plan.membership, (plan.bundles >= 1).astype(int))
 
-    def test_lexicographic_tie_break(self):
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_lexicographic_tie_break(self, scale):
         # two identical devices: (0, 1) and (1, 0) cost the same; (0, 1) is smaller
         inst = build_instance([2.0, 2.0], [[[1.0], [1.0]]], [[10]], bundle_size=10)
-        assert solve_sip(inst).plan.bundles.tolist() == [[0, 1]]
+        devices = tuple(
+            dataclasses.replace(
+                dev,
+                membership_cost=0.5 * scale,
+                alpha_reservation=dev.alpha_reservation * scale,
+                alpha_on_demand=dev.alpha_on_demand * scale,
+            )
+            for dev in inst.devices
+        )
+        scaled = sm.ProblemInstance(devices, inst.vsps, inst.scenarios, inst.similarity)
+        assert solve_sip(scaled).plan.bundles.tolist() == [[0, 1]]
 
     def test_invalid_instance_rejected(self):
         inst = build_instance([1.0], [[[0.5]]], [[5], [5]], probabilities=(0.7, 0.7))
@@ -305,3 +320,122 @@ class TestDipFromInstance:
     def test_index_out_of_range(self, singapore):
         with pytest.raises(ValueError):
             dip_from_instance(singapore, scenario_index=2)
+
+
+def make_decimal_instance(rng: np.random.Generator, max_scenarios: int = 3) -> sm.ProblemInstance:
+    """One-VSP instance whose similarity, threshold and probabilities lie on hundredths.
+
+    Unlike the dyadic grids of ``_support``, these values are inexact in
+    binary, so coverage sums carry rounding errors.  About half the demands
+    are covered exactly by a few bundles of one device, where a rounding error
+    decides whether a unit is bought.  Draws repeat until the bundle lattice
+    (search bounds + 1) has at most 1500 plans, which keeps enumeration cheap.
+    """
+    while True:
+        num_devices = int(rng.integers(1, 4))
+        num_scenarios = int(rng.integers(1, max_scenarios + 1))
+        sizes = rng.integers(1, 11, size=num_devices)
+        devices = tuple(
+            sm.EdgeDevice(
+                id=e,
+                uplink_rate=2.5e6,
+                transmit_power=0.1,
+                avg_payload_semantic=5125.0,
+                membership_cost=int(rng.integers(0, 6)) / 100,
+                bundle_size=int(sizes[e]),
+                alpha_reservation=5.0,
+                alpha_on_demand=float(rng.integers(6, 1001)),
+            )
+            for e in range(num_devices)
+        )
+        cuts = np.sort(rng.choice(np.arange(1, 100), size=num_scenarios - 1, replace=False))
+        probabilities = np.diff(cuts, prepend=0, append=100) / 100
+        hundredths = rng.integers(0, 101, size=(num_devices, num_scenarios))
+        scenarios = tuple(
+            sm.DemandScenario(float(p), (_decimal_demand(rng, sizes, hundredths[:, i]),))
+            for i, p in enumerate(probabilities)
+        )
+        inst = sm.ProblemInstance(devices, (sm.Vsp(0),), scenarios, hundredths[None] / 100)
+        if math.prod(_lattice_axes(inst)) <= 1500:
+            return inst
+
+
+def _decimal_demand(rng: np.random.Generator, sizes, hundredths) -> sm.VspDemand:
+    """A random demand, or, half the time, one that k bundles of some device cover exactly."""
+    e = int(rng.integers(len(sizes)))
+    covered = int(rng.integers(1, 4)) * int(sizes[e]) * int(hundredths[e])  # in hundredths
+    quantities = [q for q in range(1, 31) if covered % q == 0 and covered // q <= 100]
+    if covered and rng.random() < 0.5:
+        q = int(rng.choice(quantities))
+        return sm.VspDemand("k", q, covered // q / 100)
+    return sm.VspDemand("k", int(rng.integers(0, 13)), int(rng.integers(1, 101)) / 100)
+
+
+def _exact_shortfalls(bundles: np.ndarray, instance: sm.ProblemInstance) -> np.ndarray:
+    """Shortfalls in rational arithmetic, exact because every input lies on hundredths."""
+    out = np.zeros((instance.num_vsps, instance.num_scenarios), dtype=np.int64)
+    for i, scen in enumerate(instance.scenarios):
+        for w, demand in enumerate(scen.per_vsp):
+            gap = Fraction(demand.quantity * round(demand.threshold * 100), 100) - sum(
+                Fraction(int(k) * dev.bundle_size * round(instance.similarity[w, e, i] * 100), 100)
+                for e, (k, dev) in enumerate(zip(bundles[w], instance.devices))
+            )
+            out[w, i] = max(0, math.ceil(gap))
+    return out
+
+
+def _lattice_axes(instance: sm.ProblemInstance) -> list[int]:
+    return [bundle_upper_bound(0, e, instance) + 2 for e in range(instance.num_devices)]
+
+
+def _lattice(instance: sm.ProblemInstance):
+    for combo in itertools.product(*(range(n) for n in _lattice_axes(instance))):
+        yield np.array([combo], dtype=np.int64)
+
+
+class TestDecimalGrids:
+    """Solvers agree with ``evaluate_total`` and ``shortfalls`` off the dyadic grids."""
+
+    def test_sip_repro_is_the_evaluate_total_minimum(self):
+        inst = repro_instance()
+        totals = [
+            evaluate_total(ReservationPlan.from_bundles([[k]]), inst).cost.total for k in range(6)
+        ]
+        solution = solve_sip(inst)
+        assert solution.plan.bundles.tolist() == [[3]]
+        assert solution.cost.total == min(totals)
+
+    def test_shortfalls_are_exact(self):
+        rng = np.random.default_rng(2023)
+        for _ in range(20):
+            inst = make_decimal_instance(rng)
+            for plan in _lattice(inst):
+                assert np.array_equal(shortfalls(plan, inst), _exact_shortfalls(plan, inst))
+
+    def test_sip_matches_evaluate_total_minimum(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            inst = make_decimal_instance(rng)
+            best = min(
+                evaluate_total(ReservationPlan.from_bundles(plan), inst).cost.total
+                for plan in _lattice(inst)
+            )
+            assert solve_sip(inst).cost.total == pytest.approx(best, rel=1e-12, abs=1e-15)
+
+    def test_dip_returns_cheapest_plan_without_shortfall(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(40):
+            inst = make_decimal_instance(rng, max_scenarios=1)
+            covering = [
+                evaluate_total(ReservationPlan.from_bundles(plan), inst).cost.total
+                for plan in _lattice(inst)
+                if not shortfalls(plan, inst).any()
+            ]
+            dip = dip_from_instance(inst)
+            if not covering:
+                with pytest.raises(InfeasibleError):
+                    solve_dip(dip)
+                continue
+            solution = solve_dip(dip)
+            assert not shortfalls(solution.plan.bundles, inst).any()
+            assert solution.cost.total == pytest.approx(min(covering), rel=1e-12, abs=1e-15)
