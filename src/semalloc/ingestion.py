@@ -200,6 +200,12 @@ def load_problem(path: str | Path) -> ProblemInstance:
             if not ref.exists():
                 raise ConfigurationError(f"{path}: referenced file does not exist: {ref}")
         corpora = load_corpora_csv(corpus_path)
+        ids, expected = set(corpora), set(range(len(devices)))
+        if ids != expected:
+            raise ConfigurationError(
+                f"{corpus_path}: corpus device ids must be 0..{len(devices) - 1} for the problem's"
+                f" {len(devices)} devices; missing {sorted(expected - ids)}, extra {sorted(ids - expected)}"
+            )
         provider = FileEmbeddings.from_path(embeddings_path)
         tensor = build_similarity_tensor(scenarios, corpora, provider)
 

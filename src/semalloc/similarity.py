@@ -5,6 +5,15 @@ into vectors; the per-device score is the count-weighted mean cosine match,
 clamped to [0, 1].  Heavyweight language models stay out of the build: vectors
 come either from a precomputed JSON map or from a deterministic token-hashing
 embedder used in tests.
+
+The tensor build embeds each unique interest key and corpus text once and
+row-normalizes the vectors into matrices ``I`` (interests) and ``T`` (texts).
+One matmul gives every cosine, ``clip(I @ T.T, 0, 1)``.  A device's score is
+the sum of ``count * cosine`` over its corpus entries, divided by its total
+count; one ``np.add.reduceat`` over the entry list does this for every device,
+so no (device, text) matrix is built.  Each scenario's rows are then scattered
+into ``(vsp, device, scenario)`` by interest key.  ``average_similarity`` runs
+the same kernel for one interest and one corpus.
 """
 
 from __future__ import annotations
@@ -56,31 +65,31 @@ class EmbeddingProvider(ABC):
 class FileEmbeddings(EmbeddingProvider):
     """Precomputed text-to-vector map loaded from a JSON document.
 
-    The file is a single object ``{"text": [floats...], ...}``; vectors were
-    produced offline by whatever encoder the deployment uses.
+    The file is a single object ``{"text": [numbers...], ...}``; vectors were
+    produced offline by whatever encoder the deployment uses.  They are held
+    as the rows of one read-only matrix, and ``embed`` returns a row.
     """
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
-        self._vectors: dict[str, np.ndarray] = {}
-        dim = None
-        for text, values in vectors.items():
-            vec = np.asarray(values, dtype=np.float64)
-            if vec.ndim != 1 or vec.size < 1:
-                raise ConfigurationError(f"embedding for {text!r} must be a non-empty flat list")
-            if not np.all(np.isfinite(vec)):
-                raise ConfigurationError(f"embedding for {text!r} contains non-finite values")
-            if not vec.any():
-                raise ConfigurationError(f"embedding for {text!r} is the all-zero vector")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ConfigurationError(
-                    f"embedding for {text!r} has dimension {vec.size}, expected {dim}"
-                )
-            vec.setflags(write=False)
-            self._vectors[str(text)] = vec
-        if dim is None:
+        texts = list(vectors)
+        rows = [_embedding_row(text, vectors[text]) for text in texts]
+        if not rows:
             raise ConfigurationError("embeddings file defines no vectors")
+        for text, row in zip(texts, rows):
+            if row.size != rows[0].size:
+                raise ConfigurationError(
+                    f"embedding for {text!r} has dimension {row.size}, expected {rows[0].size}"
+                )
+        matrix = np.array(rows)
+        for bad, problem in (
+            (~np.isfinite(matrix).all(axis=1), "contains non-finite values"),
+            (~matrix.any(axis=1), "is the all-zero vector"),
+        ):
+            if bad.any():
+                raise ConfigurationError(f"embedding for {texts[int(np.argmax(bad))]!r} {problem}")
+        matrix.setflags(write=False)
+        self._matrix = matrix
+        self._row = {str(text): r for r, text in enumerate(texts)}
 
     @classmethod
     def from_path(cls, path: str | Path) -> "FileEmbeddings":
@@ -92,9 +101,26 @@ class FileEmbeddings(EmbeddingProvider):
 
     def embed(self, text: str) -> EmbeddingVector:
         try:
-            return self._vectors[text]
+            return self._matrix[self._row[text]]
         except KeyError:
             raise ConfigurationError(f"no embedding for text {text!r}") from None
+
+
+def _embedding_row(text: str, values) -> np.ndarray:
+    """One file embedding as a float vector: a non-empty flat list of numbers."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is None or raw.ndim != 1 or raw.size < 1:
+        raise ConfigurationError(f"embedding for {text!r} must be a non-empty flat list")
+    if raw.dtype.kind == "O":  # integers too wide for int64, or mixed types
+        numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)
+    else:
+        numeric = raw.dtype.kind in "iuf"
+    if not numeric:
+        raise ConfigurationError(f"embedding for {text!r} must hold numbers only (no strings or booleans)")
+    return raw.astype(np.float64)
 
 
 class HashEmbedder(EmbeddingProvider):
@@ -154,6 +180,60 @@ def cosine_match(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return min(1.0, max(-1.0, value))
 
 
+def _unit_rows(vectors: Sequence[EmbeddingVector], shape: tuple[int, ...]) -> np.ndarray:
+    """Stack embeddings of one 1-D ``shape`` into a matrix of unit-norm rows.
+
+    Raises what ``cosine_match`` raises for the same vectors.
+    """
+    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+    for vec in vectors:
+        if len(shape) != 1 or vec.shape != shape:
+            raise ValueError(f"dimension mismatch: {shape} vs {vec.shape}")
+    matrix = np.array(vectors).reshape(len(vectors), shape[0])
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("embeddings must be finite")
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    if not np.all(norms > 0.0):
+        raise ValueError("cosine match is undefined for a zero-norm vector")
+    return matrix / norms
+
+
+def _embed_once(provider: EmbeddingProvider, texts) -> dict[str, EmbeddingVector]:
+    """Embedding of each distinct text, in first-seen order, one call per text."""
+    vectors: dict[str, EmbeddingVector] = {}
+    for text in texts:
+        if text not in vectors:
+            vectors[text] = provider.embed(text)
+    return vectors
+
+
+def _mean_matches(
+    interests: Sequence[EmbeddingVector],
+    corpora: Sequence[CategoryCorpus],
+    vectors: Mapping[str, EmbeddingVector],
+) -> np.ndarray:
+    """Scores of shape (interests, corpora): count-weighted mean of clip(cosine, 0, 1).
+
+    ``vectors`` must hold the embedding of every corpus text.  Each corpus
+    sums ``count * score`` over its entries in order and divides by its total.
+    """
+    for corpus in corpora:
+        if not corpus.entries:
+            raise ValueError(f"device {corpus.device_id} has an empty corpus")
+    if not interests:
+        return np.zeros((0, len(corpora)))
+    shape = np.shape(interests[0])
+    cosines = _unit_rows(interests, shape) @ _unit_rows(list(vectors.values()), shape).T
+    column = {text: j for j, text in enumerate(vectors)}
+    text_of = [column[text] for corpus in corpora for text, _ in corpus.entries]
+    counts = np.array([count for corpus in corpora for _, count in corpus.entries], dtype=np.float64)
+    # reduceat needs strictly increasing offsets: every corpus is non-empty (checked above)
+    starts = np.cumsum([0, *(len(corpus.entries) for corpus in corpora)])[:-1]
+    totals = np.array([corpus.total for corpus in corpora], dtype=np.float64)
+    weighted = np.clip(cosines, 0.0, 1.0)[:, text_of] * counts
+    return np.add.reduceat(weighted, starts, axis=1) / totals
+
+
 def average_similarity(
     interest: EmbeddingVector,
     corpus: CategoryCorpus,
@@ -164,15 +244,8 @@ def average_similarity(
     Negative matches are clamped to 0 before averaging so the score stays in
     [0, 1]; an entry with count k contributes k identical terms to the mean.
     """
-    if not corpus.entries:
-        raise ValueError(f"device {corpus.device_id} has an empty corpus")
-    weighted = 0.0
-    weight = 0
-    for text, count in corpus.entries:
-        match = cosine_match(interest, provider.embed(text))
-        weighted += count * max(0.0, match)
-        weight += count
-    return weighted / weight
+    vectors = _embed_once(provider, (text for text, _ in corpus.entries))
+    return float(_mean_matches([interest], [corpus], vectors)[0, 0])
 
 
 def build_similarity_tensor(
@@ -182,26 +255,28 @@ def build_similarity_tensor(
 ) -> np.ndarray:
     """Assemble the (vsp, device, scenario) score tensor from corpora.
 
-    Device ids must cover 0..E-1; each scenario's per-VSP interest key is
-    embedded once and matched against every device corpus.
+    Device ids must cover 0..E-1.  Each unique interest key and corpus text is
+    embedded once; one kernel call scores every (interest key, device) pair,
+    and each scenario's rows are scattered into the tensor by interest key.
     """
     if not scenarios:
         raise ConfigurationError("scenario set must be non-empty")
-    num_vsps = len(scenarios[0].per_vsp)
     num_devices = len(corpora)
     for e in range(num_devices):
         if e not in corpora:
             raise ConfigurationError(f"no category corpus for device {e}")
+    devices = [corpora[e] for e in range(num_devices)]
 
-    interest_cache: dict[str, np.ndarray] = {}
-    tensor = np.zeros((num_vsps, num_devices, len(scenarios)))
+    keys = list(dict.fromkeys(demand.interest_key for scen in scenarios for demand in scen.per_vsp))
+    corpus_texts = (text for corpus in devices for text, _ in corpus.entries)
+    vectors = _embed_once(provider, [*keys, *corpus_texts])
+    scores = _mean_matches([vectors[key] for key in keys], devices, vectors)
+    row_of = {key: r for r, key in enumerate(keys)}
+
+    tensor = np.zeros((len(scenarios[0].per_vsp), num_devices, len(scenarios)))
     for i, scen in enumerate(scenarios):
         for w, demand in enumerate(scen.per_vsp):
-            key = demand.interest_key
-            if key not in interest_cache:
-                interest_cache[key] = provider.embed(key)
-            for e in range(num_devices):
-                tensor[w, e, i] = average_similarity(interest_cache[key], corpora[e], provider)
+            tensor[w, :, i] = scores[row_of[demand.interest_key]]
     return tensor
 
 
@@ -221,6 +296,11 @@ def load_corpora_csv(path: str | Path) -> dict[int, CategoryCorpus]:
                 count = int(row["count"])
             except (TypeError, ValueError):
                 raise ConfigurationError(f"{path}:{line}: malformed corpus row {row}") from None
+            if count < 1:
+                raise ConfigurationError(
+                    f"{path}:{line}: corpus counts must be positive integers, got {count}"
+                    f" for {row['category']!r}"
+                )
             rows.setdefault(device_id, []).append((row["category"], count))
     return {
         device_id: CategoryCorpus(device_id, tuple(entries))

@@ -1,13 +1,19 @@
+import json
 import math
+import re
+import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import semalloc as sm
 from semalloc import (
     CategoryCorpus,
     ConfigurationError,
+    EmbeddingProvider,
     FileEmbeddings,
     HashEmbedder,
     average_similarity,
@@ -15,6 +21,7 @@ from semalloc import (
     cosine_match,
     load_problem,
 )
+from semalloc.cli import main
 from semalloc.core_model import DemandScenario, VspDemand
 from semalloc.similarity import load_corpora_csv
 
@@ -164,6 +171,25 @@ class TestProviders:
         with pytest.raises(ConfigurationError, match="zero"):
             FileEmbeddings({"a": [0.0, 0.0]})
 
+    def test_file_embeddings_rows_are_read_only(self):
+        provider = FileEmbeddings({"a": [1.0, 2.0], "b": [3, 4]})
+        assert provider.embed("b").tolist() == [3.0, 4.0]
+        with pytest.raises(ValueError):
+            provider.embed("a")[0] = 5.0
+
+    @pytest.mark.parametrize(
+        "values", ["xyz", [1, "q"], [True, False], [1.0, None], [[1.0], [2.0, 3.0]]]
+    )
+    def test_file_embeddings_reject_non_numeric_entries(self, values):
+        with pytest.raises(ConfigurationError, match="'bad text'"):
+            FileEmbeddings({"ok": [1.0, 0.0], "bad text": values})
+
+    def test_embeddings_file_with_booleans_rejected(self, tmp_path):
+        path = tmp_path / "emb.json"
+        path.write_text('{"a": [1, 0], "flags": [true, false]}')
+        with pytest.raises(ConfigurationError, match="'flags'.*numbers only"):
+            FileEmbeddings.from_path(path)
+
     def test_file_embeddings_from_bundled_file(self):
         provider = FileEmbeddings.from_path(sm.data_file("embeddings_demo.json"))
         assert provider.embed("vehicles on road").shape == (2,)
@@ -252,5 +278,190 @@ class TestCorpusCsv:
     def test_nonpositive_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("device_id,category,count\n0,cat,0\n")
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ConfigurationError, match=r"bad\.csv:2: .*positive"):
             load_corpora_csv(path)
+
+    def test_negative_count_is_configuration_error_on_cli(self, tmp_path):
+        problem = copy_corpus_demo(tmp_path, "device_id,category,count\n0,sedans merging at the junction,-3\n")
+        result = CliRunner().invoke(main, ["--json-errors", "similarity", "--problem", str(problem)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigurationError"
+        assert re.search(r"corpora\.csv:2: .*-3", payload["error"])
+
+
+def copy_corpus_demo(tmp_path, corpus_csv: str):
+    """The bundled corpus problem in ``tmp_path``, with its corpus CSV replaced."""
+    for name in ("interest_switch_corpus.json", "embeddings_demo.json"):
+        shutil.copy(sm.data_file(name), tmp_path / name)
+    doc = json.loads((tmp_path / "interest_switch_corpus.json").read_text())
+    doc["similarity"]["corpus_file"] = "corpora.csv"
+    (tmp_path / "interest_switch_corpus.json").write_text(json.dumps(doc))
+    (tmp_path / "corpora.csv").write_text(corpus_csv)
+    return tmp_path / "interest_switch_corpus.json"
+
+
+class TestCorpusDeviceIds:
+    BUNDLED = sm.data_file("corpora_demo.csv").read_text()
+
+    def test_extra_device_named(self, tmp_path):
+        problem = copy_corpus_demo(tmp_path, self.BUNDLED + "3,sedans merging at the junction,1\n")
+        with pytest.raises(ConfigurationError, match=r"corpora\.csv: .*missing \[\], extra \[3\]$"):
+            load_problem(problem)
+
+    def test_missing_device_named(self, tmp_path):
+        rows = [line for line in self.BUNDLED.splitlines() if not line.startswith("1,")]
+        problem = copy_corpus_demo(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(ConfigurationError, match=r"corpora\.csv: .*missing \[1\], extra \[\]$"):
+            load_problem(problem)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized build against a plain loop over the documented rule
+
+
+def loop_reference(scenarios, corpora, provider) -> np.ndarray:
+    """(vsp, device, scenario) scores: per pair, sum(count * max(0, cosine)) / sum(count)."""
+    tensor = np.zeros((len(scenarios[0].per_vsp), len(corpora), len(scenarios)))
+    for i, scen in enumerate(scenarios):
+        for w, demand in enumerate(scen.per_vsp):
+            interest = provider.embed(demand.interest_key)
+            for e in range(len(corpora)):
+                weighted = sum(
+                    count * max(0.0, cosine_match(interest, provider.embed(text)))
+                    for text, count in corpora[e].entries
+                )
+                tensor[w, e, i] = weighted / corpora[e].total
+    return tensor
+
+
+class DictProvider(EmbeddingProvider):
+    """Returns stored vectors unchecked, so the build's own checks can be tested."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, text):
+        return np.asarray(self.vectors[text], dtype=np.float64)
+
+
+class CountingProvider(EmbeddingProvider):
+    def __init__(self):
+        self.inner = HashEmbedder(dimension=16)
+        self.calls = Counter()
+
+    def embed(self, text):
+        self.calls[text] += 1
+        return self.inner.embed(text)
+
+
+WORDS = ["bus", "car", "bike", "tree", "rain", "road", "sign", "lane", "truck", "light"]
+
+
+@st.composite
+def corpus_problems(draw, texts):
+    """Scenarios and corpora over ``texts``: keys shared between scenarios,
+    texts repeated across devices and duplicated within one corpus."""
+    num_vsps = draw(st.integers(1, 3))
+    num_devices = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=3))
+    scenarios = tuple(
+        DemandScenario(
+            0.5,
+            tuple(VspDemand(draw(st.sampled_from(keys)), 5, 1.0) for _ in range(num_vsps)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    entry = st.tuples(st.sampled_from(texts), st.integers(1, 20))
+    corpora = {
+        e: CategoryCorpus(e, tuple(draw(st.lists(entry, min_size=1, max_size=6))))
+        for e in range(num_devices)
+    }
+    return scenarios, corpora
+
+
+@st.composite
+def file_embedding_problems(draw):
+    dim = draw(st.integers(2, 6))
+    texts = [f"text {j}" for j in range(draw(st.integers(2, 8)))]
+    coords = st.floats(min_value=-10, max_value=10)
+    vectors = {
+        text: draw(st.lists(coords, min_size=dim, max_size=dim).filter(lambda v: any(abs(x) > 1e-3 for x in v)))
+        for text in texts
+    }
+    return (*draw(corpus_problems(texts)), FileEmbeddings(vectors))
+
+
+@st.composite
+def hash_embedding_problems(draw):
+    phrase = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    texts = draw(st.lists(phrase, min_size=2, max_size=8, unique=True))
+    return (*draw(corpus_problems(texts)), HashEmbedder(dimension=draw(st.sampled_from([4, 8, 64]))))
+
+
+class TestBuildMatchesLoop:
+    # Cosines carry an absolute rounding error of a few ulp of 1 in either
+    # form, so scores near 0 need an absolute floor beside the relative bound.
+    RTOL, ATOL = 1e-12, 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=file_embedding_problems())
+    def test_file_embeddings(self, problem):
+        scenarios, corpora, provider = problem
+        got = build_similarity_tensor(scenarios, corpora, provider)
+        np.testing.assert_allclose(got, loop_reference(scenarios, corpora, provider), rtol=self.RTOL, atol=self.ATOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=hash_embedding_problems())
+    def test_hash_embedder(self, problem):
+        scenarios, corpora, provider = problem
+        got = build_similarity_tensor(scenarios, corpora, provider)
+        np.testing.assert_allclose(got, loop_reference(scenarios, corpora, provider), rtol=self.RTOL, atol=self.ATOL)
+
+    def test_each_unique_text_embedded_once(self):
+        provider = CountingProvider()
+        scenarios = (
+            DemandScenario(0.5, (VspDemand("red bus", 1, 1.0), VspDemand("wet road", 1, 1.0))),
+            DemandScenario(0.5, (VspDemand("wet road", 1, 1.0), VspDemand("red bus", 1, 1.0))),
+        )
+        corpora = {
+            0: CategoryCorpus(0, (("bus lane", 2), ("wet road", 1), ("bus lane", 1))),
+            1: CategoryCorpus(1, (("bus lane", 1), ("tree", 5))),
+            2: CategoryCorpus(2, (("tree", 1),)),
+        }
+        build_similarity_tensor(scenarios, corpora, provider)
+        assert provider.calls == Counter({"red bus": 1, "wet road": 1, "bus lane": 1, "tree": 1})
+
+
+class TestBuildErrors:
+    """The build raises the same type and message as the scalar ``cosine_match`` path."""
+
+    SCENARIOS = (DemandScenario(1.0, (VspDemand("k", 1, 1.0),)),)
+
+    @pytest.mark.parametrize(
+        "vectors, corpus_vector, error, message",
+        [
+            ({"k": [1.0, 0.0]}, [1.0, 0.0, 0.0], ValueError, "dimension mismatch: (2,) vs (3,)"),
+            ({"k": [1.0, 0.0]}, [1.0, float("inf")], ValueError, "embeddings must be finite"),
+            ({"k": [float("nan"), 0.0]}, [1.0, 0.0], ValueError, "embeddings must be finite"),
+            ({"k": [1.0, 0.0]}, [0.0, 0.0], ValueError, "cosine match is undefined for a zero-norm vector"),
+            ({"k": [0.0, 0.0]}, [1.0, 0.0], ValueError, "cosine match is undefined for a zero-norm vector"),
+        ],
+    )
+    def test_bad_vectors(self, vectors, corpus_vector, error, message):
+        provider = DictProvider({**vectors, "a": corpus_vector})
+        corpora = {0: CategoryCorpus(0, (("a", 1),))}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_similarity_tensor(self.SCENARIOS, corpora, provider)
+
+    def test_empty_corpus(self):
+        provider = DictProvider({"k": [1.0, 0.0], "a": [1.0, 0.0]})
+        corpora = {0: CategoryCorpus(0, (("a", 1),)), 1: CategoryCorpus(1, ())}
+        with pytest.raises(ValueError, match="^device 1 has an empty corpus$"):
+            build_similarity_tensor(self.SCENARIOS, corpora, provider)
+
+    def test_unknown_corpus_text(self):
+        provider = FileEmbeddings({"k": [1.0, 0.0]})
+        corpora = {0: CategoryCorpus(0, (("zzz", 1),))}
+        with pytest.raises(ConfigurationError, match="^no embedding for text 'zzz'$"):
+            build_similarity_tensor(self.SCENARIOS, corpora, provider)
