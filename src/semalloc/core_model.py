@@ -236,6 +236,15 @@ def energy_ratio(device: EdgeDevice) -> float:
 # instance validation and functional updates
 
 
+def demand_count_violations(scenarios, num_vsps: int) -> list[str]:
+    """One message per scenario whose demand list does not have one entry per VSP."""
+    return [
+        f"scenario {i} lists {len(scen.per_vsp)} vsp demands, expected {num_vsps}"
+        for i, scen in enumerate(scenarios)
+        if len(scen.per_vsp) != num_vsps
+    ]
+
+
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Collect every invariant violation instead of stopping at the first."""
     violations: list[str] = []
@@ -254,11 +263,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         if vsp.id != w:
             violations.append(f"vsp ids must be 0..{len(instance.vsps) - 1} in order; position {w} has id {vsp.id}")
 
-    for i, scen in enumerate(instance.scenarios):
-        if len(scen.per_vsp) != instance.num_vsps:
-            violations.append(
-                f"scenario {i} lists {len(scen.per_vsp)} vsp demands, expected {instance.num_vsps}"
-            )
+    violations.extend(demand_count_violations(instance.scenarios, instance.num_vsps))
 
     if instance.scenarios:
         total = math.fsum(s.probability for s in instance.scenarios)

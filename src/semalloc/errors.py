@@ -35,15 +35,25 @@ class NodeLimitError(SemallocError):
     """The branch-and-bound node budget was exhausted before proving optimality.
 
     Carries the best incumbent assembled so far (``partial``) and the indices of
-    the VSP subproblems whose search was cut short.  The partial solution is a
-    feasible plan but must not be treated as optimal.
+    the VSP subproblems whose search was cut short.  The partial solution must
+    not be treated as optimal.  From ``solve_sip`` it is always a feasible plan;
+    from ``solve_dip``, a VSP cut short before any covering plan was found keeps
+    zero bundles, so its requirement is left uncovered.  ``lower_bound`` bounds
+    the optimal total from below: the finished VSPs' optima plus, for each
+    cut-short VSP, the least search bound over its unexplored subtrees (or its
+    incumbent, if lower).  ``gap`` is ``(partial total - lower_bound) /
+    partial total``, 0 when both are 0, and infinite when the partial plan
+    leaves a requirement uncovered.
     """
 
-    def __init__(self, partial, incomplete_vsps, node_limit: int):
+    def __init__(self, partial, incomplete_vsps, node_limit: int, lower_bound: float, gap: float):
         self.partial = partial
         self.incomplete_vsps = tuple(incomplete_vsps)
         self.node_limit = node_limit
+        self.lower_bound = lower_bound
+        self.gap = gap
         super().__init__(
             f"node limit {node_limit} exceeded for VSP subproblem(s) "
-            f"{list(self.incomplete_vsps)}; best incumbent attached"
+            f"{list(self.incomplete_vsps)}; best incumbent attached "
+            f"(total {partial.cost.total:.10g}, lower bound {lower_bound:.10g}, gap {gap:.2%})"
         )

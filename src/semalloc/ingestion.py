@@ -21,6 +21,7 @@ from .core_model import (
     ProblemInstance,
     Vsp,
     VspDemand,
+    demand_count_violations,
     validate_instance,
 )
 from .errors import ConfigurationError, SchemaError, ValidationFailure
@@ -194,6 +195,10 @@ def load_problem(path: str | Path) -> ProblemInstance:
     if "tensor" in source:
         tensor = np.array(source["tensor"], dtype=np.float64)
     else:
+        # the tensor is sized and filled from the scenarios' demand lists
+        mismatched = demand_count_violations(scenarios, len(vsps))
+        if mismatched:
+            raise ValidationFailure(mismatched)
         corpus_path = path.parent / source["corpus_file"]
         embeddings_path = path.parent / source["embeddings_file"]
         for ref in (corpus_path, embeddings_path):

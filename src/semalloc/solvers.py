@@ -2,11 +2,19 @@
 
 Both programs separate over VSPs: the objective is a sum of per-VSP terms and
 every coverage constraint involves a single VSP.  Each subproblem searches the
-bundle lattice bounded by :func:`bundle_upper_bound`; the node lower bound is
-the stage-1 cost accumulated so far (recourse is non-negative), which is
-admissible, so pruning never cuts the optimum.  Among equal-cost optima the
-lexicographically smallest bundle vector by device index is returned, which
-keeps results reproducible regardless of the exploration order heuristic.
+bundle lattice bounded by :func:`bundle_upper_bound`.  A node's lower bound is
+its stage-1 cost plus its remaining per-scenario coverage gaps, priced by a
+feasible dual of the LP relaxation of the subtree below it (the recourse price
+per unit, scaled down so that no device left to branch on covers a unit for
+less than its bundle price).  The bound is admissible: recourse buys the gap
+rounded up, memberships cost at least nothing, and by weak duality the priced
+gap never exceeds what the subtree still pays.  The bound is convex and
+piecewise linear in the next device's count, so each node visits only the
+interval of counts that can still win, or tie, the incumbent.  DIP uses the
+same search with an uncapped price, which prunes every subtree that can no
+longer cover its gap.  Among equal-cost optima the lexicographically smallest
+bundle vector by device index is returned, which keeps results reproducible
+regardless of the exploration order heuristic.
 """
 
 from __future__ import annotations
@@ -38,8 +46,9 @@ from .recourse import (
     stage1_costs,
 )
 
-# Costs within TIE_REL * max(1, best cost) of the incumbent count as tied; ties
-# are resolved by the lexicographic rule, and pruning keeps tied subtrees alive.
+# Costs within TIE_REL * best cost of the incumbent count as tied, a window
+# relative to the costs at every price scale; ties are resolved by the
+# lexicographic rule, and pruning keeps tied subtrees alive.
 TIE_REL = 1e-9
 
 
@@ -133,6 +142,143 @@ class _SearchOutcome:
     bundles: tuple[int, ...] | None
     nodes: int
     exceeded: bool
+    bound: float  # lower bound on the optimum; equals ``cost`` once the search completes
+
+
+def _suffix_scales(
+    order: Sequence[int],
+    bundle_costs: Sequence[float],
+    coverage_rows: Sequence[Sequence[float]],
+    weights: Sequence[float],
+    cap: float,
+) -> list[float]:
+    """Dual scale of the remaining coverage gaps at every depth ``0..len(order)``.
+
+    Scale ``d`` is ``min(cap, min over e in order[d:] of b_e / sum_j weights_j * a_ej)``
+    with ``a_ej`` = ``coverage_rows[e][j]``.  Pricing a unit of scenario ``i``'s
+    gap at ``scale * weights_i`` costs at most the recourse price ``cap`` per
+    weighted unit and lets no device left to branch on buy coverage below its
+    bundle price: a feasible dual of the LP relaxation of the subtree at depth
+    ``d``.  By weak duality ``scale * sum_i weights_i * max(0, gap_i)`` never
+    exceeds what the subtree still pays.  With no productive device left and an
+    infinite ``cap`` (a program without recourse) the scale is infinite: a
+    positive gap can no longer be covered.
+    """
+    scales = [cap]
+    for device in reversed(order):
+        weighted = sum(w * a for w, a in zip(weights, coverage_rows[device]))
+        scales.append(min(scales[-1], bundle_costs[device] / weighted) if weighted > 0.0 else scales[-1])
+    return scales[::-1]
+
+
+def _weighted_gap(needs: Sequence[float], covered: Sequence[float], weights: Sequence[float]) -> float:
+    """``sum_i weights_i * max(0, needs_i - covered_i)``: the gap a dual scale prices."""
+    return sum([w * (need - cov) for need, cov, w in zip(needs, covered, weights) if need > cov])
+
+
+def _ceil_down(x: float) -> int:
+    return math.ceil(x - 1e-9 * max(1.0, x))
+
+
+def _floor_up(x: float) -> int:
+    return math.floor(x + 1e-9 * max(1.0, x))
+
+
+def _child_bounds(
+    base: float,
+    step: float,
+    needs: Sequence[float],
+    covered: Sequence[float],
+    row: Sequence[float],
+    weights: Sequence[float],
+    scale: float,
+) -> tuple[int, float, float, list[tuple[float, float]]]:
+    """Child bound after ``k >= 1`` bundles of the next device, as a function of ``k``.
+
+    With gaps ``g_i = needs_i - covered_i``, the bound is
+    ``base + k*step + scale * sum_i weights_i * max(0, g_i - k*row_i)`` (``base``
+    is the stage-1 cost with the device's membership): convex and piecewise
+    linear, with a kink at each ``g_i / row_i``.  Returns ``(first, value,
+    slope, kinks)``: the least count that can pass, the value and slope of the
+    first piece extended to ``k = 0``, and the kinks as ``(k, slope increase)``
+    in ascending order.  An infinite scale fails every count that leaves a gap
+    open; then only ``first`` constrains the counts.
+    """
+    if scale == math.inf:
+        first = 1
+        for need, cov, per_bundle, w in zip(needs, covered, row, weights):
+            if need > cov and w:
+                if per_bundle <= 0.0:
+                    return 1, math.inf, 0.0, []
+                first = max(first, _ceil_down((need - cov) / per_bundle))
+        return first, base, step, []
+    priced = 0.0
+    slope = step
+    kinks = []
+    for need, cov, per_bundle, w in zip(needs, covered, row, weights):
+        gap = need - cov
+        if gap > 0.0 and w:
+            priced += w * gap
+            if per_bundle > 0.0:
+                rise = scale * w * per_bundle
+                slope -= rise
+                kinks.append((gap / per_bundle, rise))
+    kinks.sort()
+    return 1, base + scale * priced, slope, kinks
+
+
+def _count_interval(bounds, ceiling: float, upper: int) -> tuple[int, int]:
+    """Counts in ``1..upper`` whose child bound (:func:`_child_bounds`) is within ``ceiling``.
+
+    The bound is convex, so the passing counts form one interval ``(first,
+    last)``, empty when ``first > last``.  It is found by walking the kinks in
+    order, with no work per excluded count.  Both ends are widened by a
+    relative 1e-9, so rounding can add a count but never drop one.
+    """
+    first, value, slope, kinks = bounds
+    if value == math.inf:
+        return 1, 0
+    if ceiling == math.inf:
+        return first, upper
+    start = 0.0
+    low = None
+    for kink, rise in kinks:
+        # on [start, kink] the bound is value + slope * (k - start)
+        if low is None:
+            if value <= ceiling:
+                low = start
+            elif slope >= 0.0:
+                return 1, 0
+            elif start + (ceiling - value) / slope <= kink:
+                low = start + (ceiling - value) / slope
+        if low is not None and slope > 0.0:
+            high = start + (ceiling - value) / slope
+            if high <= kink:
+                return max(first, _ceil_down(low)), min(upper, _floor_up(high))
+        value += slope * (kink - start)
+        slope += rise
+        start = kink
+    # the last piece rises at the bundle price, which is not negative
+    if low is None:
+        if value > ceiling:
+            return 1, 0
+        low = start
+    if slope > 0.0:
+        return max(first, _ceil_down(low)), min(upper, _floor_up(start + (ceiling - value) / slope))
+    return max(first, _ceil_down(low)), upper
+
+
+def _least_bound(bounds, first: int, last: int) -> float:
+    """Lower bound on the child bound of :func:`_child_bounds` over counts ``first..last``.
+
+    The bound is convex, so its minimum over the real range lies at an end or
+    at a kink.
+    """
+    _, value, slope, kinks = bounds
+    points = [first, last] + [kink for kink, _ in kinks if first < kink < last]
+    return min(
+        value + slope * k + sum(rise * (k - kink) for kink, rise in kinks if kink < k) for k in points
+    )
 
 
 def _dfs_bundle_search(
@@ -141,58 +287,97 @@ def _dfs_bundle_search(
     membership_costs: Sequence[float],
     bundle_costs: Sequence[float],
     coverage_rows: Sequence[Sequence[float]],
+    needs: Sequence[float],
+    weights: Sequence[float],
+    cap: float,
     leaf_cost: Callable[[list[float]], float | None],
     node_limit: int,
 ) -> _SearchOutcome:
-    """Depth-first search over bundle vectors with stage-1 lower-bound pruning.
+    """Depth-first branch-and-bound over bundle vectors, pruned by an LP-dual bound.
 
-    ``leaf_cost`` maps a complete vector's per-scenario coverage (carried down
-    the recursion; ``coverage_rows[e]`` is one bundle of device ``e``) to the
-    rest of the objective, or None when the leaf is infeasible.  Bundle counts
-    ascend per device, so once the stage-1 prefix exceeds the incumbent the
-    remaining counts can be skipped.
+    A node at depth ``d`` with stage-1 cost ``S`` and per-scenario coverage ``c``
+    (carried down the recursion; ``coverage_rows[e]`` is one bundle of device
+    ``e``) has the lower bound ``S + scale_d * sum_i weights_i * max(0, needs_i - c_i)``
+    with the dual scale of :func:`_suffix_scales` (``weights`` are the scenario
+    probabilities and ``cap`` the recourse unit price, or ``[1]`` and infinity
+    for a program without recourse).  It is admissible: recourse rounds its gap
+    up, memberships cost at least nothing, and weak duality bounds the rest.
+    Each node visits count 0 and then the interval of counts whose child bound
+    is within the tie window of the incumbent (:func:`_count_interval`),
+    recomputed whenever the incumbent improves; counts outside it are never
+    iterated, and tied subtrees stay in.  A visited node is one unit of
+    ``node_limit``.  ``leaf_cost`` maps a complete vector's coverage to the rest
+    of the objective, or None when the leaf is infeasible.  Of the leaves within
+    the tie window of the cheapest, the lexicographically smallest vector wins.
+    When the budget runs out, the least bound over the subtrees left unexplored
+    is collected while the recursion unwinds.
     """
     num_devices = len(order)
-    best_cost: float | None = None
-    best_vec: tuple[int, ...] | None = None
+    scales = _suffix_scales(order, bundle_costs, coverage_rows, weights, cap)
+    best_cost = math.inf
+    ceiling = math.inf  # the incumbent plus its tie window
+    tied: list[tuple[float, tuple[int, ...]]] = []  # leaves within the window, with their costs
     vec = [0] * num_devices
     nodes = 0
     exceeded = False
+    frontier = math.inf
 
-    def recurse(depth: int, stage1: float, covered: list[float]) -> None:
-        nonlocal best_cost, best_vec, nodes, exceeded
-        if exceeded:
-            return
+    def recurse(depth: int, stage1: float, covered: list[float], gap: float) -> None:
+        nonlocal best_cost, ceiling, tied, nodes, exceeded, frontier
         nodes += 1
         if nodes > node_limit:
             exceeded = True
+            frontier = min(frontier, (stage1 + scales[depth] * gap) if gap > 0.0 else stage1)
             return
         if depth == num_devices:
             extra = leaf_cost(covered)
             if extra is None:
                 return
             cost = stage1 + extra
-            if best_cost is None or cost < best_cost:
-                best_cost, best_vec = cost, tuple(vec)
-            elif cost <= best_cost + TIE_REL * max(1.0, best_cost) and tuple(vec) < best_vec:
-                best_cost, best_vec = min(cost, best_cost), tuple(vec)
+            if cost < best_cost:
+                best_cost = cost
+                ceiling = cost + TIE_REL * cost
+                tied = [leaf for leaf in tied if leaf[0] <= ceiling]
+            if cost <= ceiling:
+                tied.append((cost, tuple(vec)))
             return
         device = order[depth]
+        zero = (stage1 + scales[depth + 1] * gap) if gap > 0.0 else stage1
+        if zero <= ceiling and zero < math.inf:
+            recurse(depth + 1, stage1, covered, gap)
+        membership = membership_costs[device]
+        step = bundle_costs[device]
+        upper = upper_bounds[device]
+        if stage1 + membership + step > ceiling:
+            return  # every count costs more than the incumbent in stage 1 alone
         row = coverage_rows[device]
-        for count in range(upper_bounds[device] + 1):
-            added = membership_costs[device] + count * bundle_costs[device] if count else 0.0
-            partial = stage1 + added
-            if best_cost is not None and partial > best_cost + TIE_REL * max(1.0, best_cost):
-                break  # counts only grow from here; the whole tail is pruned
+        bounds = _child_bounds(stage1 + membership, step, needs, covered, row, weights, scales[depth + 1])
+        if exceeded:
+            if upper:
+                frontier = min(frontier, _least_bound(bounds, 1, upper))
+            return
+        limit = ceiling
+        count, last = _count_interval(bounds, limit, upper)
+        while count <= last:
             vec[device] = count
-            grown = [c + count * r for c, r in zip(covered, row)] if count else covered
-            recurse(depth + 1, partial, grown)
+            grown = [c + count * r for c, r in zip(covered, row)]
+            recurse(depth + 1, stage1 + (membership + count * step), grown, _weighted_gap(needs, grown, weights))
             vec[device] = 0
             if exceeded:
+                if count < upper:
+                    frontier = min(frontier, _least_bound(bounds, count + 1, upper))
                 return
+            count += 1
+            if ceiling < limit:
+                limit = ceiling
+                first, last = _count_interval(bounds, limit, upper)
+                count = max(count, first)
 
-    recurse(0, 0.0, [0.0] * len(coverage_rows[0]))
-    return _SearchOutcome(best_cost, best_vec, nodes, exceeded)
+    empty = [0.0] * len(needs)
+    recurse(0, 0.0, empty, _weighted_gap(needs, empty, weights))
+    if not tied:
+        return _SearchOutcome(None, None, nodes, exceeded, frontier)
+    return _SearchOutcome(best_cost, min(vec for _, vec in tied), nodes, exceeded, min(best_cost, frontier))
 
 
 def _exploration_order(
@@ -230,10 +415,11 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     bundle_sizes = [dev.bundle_size for dev in devices]
 
     bundles = np.zeros((dip.num_vsps, num_devices), dtype=np.int64)
-    incomplete: list[int] = []
+    outcomes = []
     for w in range(dip.num_vsps):
         requirement = float(dip.actual_quantity[w] * dip.actual_threshold[w])
         if requirement <= 0.0:
+            outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0))
             continue
         similarity = dip.actual_similarity[w]
         if not (similarity > 0.0).any():
@@ -250,20 +436,24 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
                 for e in range(num_devices)
             ]
         need = float(snap(requirement))
+        order = _exploration_order(bundle_costs, bundle_sizes, similarity)
+        rows = [[size * float(sim)] for size, sim in zip(bundle_sizes, similarity)]
         outcome = _dfs_bundle_search(
-            _exploration_order(bundle_costs, bundle_sizes, similarity),
+            order,
             ubs,
             membership_costs,
             bundle_costs,
-            [[size * float(sim)] for size, sim in zip(bundle_sizes, similarity)],
+            rows,
+            [need],
+            [1.0],
+            math.inf,
             lambda covered: 0.0 if covered[0] >= need else None,
             config.node_limit,
         )
+        outcomes.append(outcome)
         if outcome.bundles is not None:
             bundles[w] = outcome.bundles
-        if outcome.exceeded:
-            incomplete.append(w)
-        elif outcome.bundles is None:
+        if outcome.bundles is None and not outcome.exceeded:
             raise InfeasibleError(
                 w, f"VSP {w}: no bundle vector within the search bounds covers {requirement}"
             )
@@ -274,20 +464,21 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
         RecourseDecision(np.zeros((dip.num_vsps, num_devices, 1), dtype=np.int64)),
         CostBreakdown.from_parts(membership_total, reservation_total, 0.0),
     )
-    if incomplete:
-        raise NodeLimitError(solution, incomplete, config.node_limit)
+    feasible = all(outcome.bundles is not None for outcome in outcomes)
+    _raise_if_cut(solution, outcomes, config.node_limit, feasible)
     return solution
 
 
 def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> Solution:
     """Exact two-stage optimum: reservation under uncertainty plus optimal recourse.
 
-    Decomposes per VSP, searches each bundle lattice depth-first with stage-1
-    lower bounds, and evaluates leaves with the closed-form recourse.  VSP
-    subproblems are independent, so the merged result does not depend on the
-    order they are solved in.  Exceeding the per-subproblem node budget raises
-    :class:`NodeLimitError` carrying the best incumbent, never a silent
-    suboptimal answer.
+    Decomposes per VSP, searches each bundle lattice depth-first with lower
+    bounds that price the remaining expected recourse, and evaluates leaves
+    with the closed-form recourse.  VSP subproblems are independent, so the
+    merged result does not depend on the order they are solved in.  Exceeding
+    the per-subproblem node budget raises :class:`NodeLimitError` carrying the
+    best incumbent, a lower bound and the gap, never a silent suboptimal
+    answer.
     """
     config = config or SolverConfig()
     report = validate_instance(instance)
@@ -307,7 +498,7 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
     def solve_vsp(w: int) -> _SearchOutcome:
         needs = snapped[w].tolist()
         if all(need <= 0.0 for need in needs):
-            return _SearchOutcome(0.0, (0,) * num_devices, 0, False)
+            return _SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0)
         if config.bundle_cap_override is not None:
             ubs = [int(config.bundle_cap_override[w, e]) for e in range(num_devices)]
         else:
@@ -316,12 +507,17 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
             sum(p * float(instance.similarity[w, e, i]) for i, p in enumerate(probabilities))
             for e in range(num_devices)
         ]
+        order = _exploration_order(bundle_costs, bundle_sizes, expected_sim)
+        rows = (sizes[:, None] * instance.similarity[w]).tolist()
         return _dfs_bundle_search(
-            _exploration_order(bundle_costs, bundle_sizes, expected_sim),
+            order,
             ubs,
             membership_costs,
             bundle_costs,
-            (sizes[:, None] * instance.similarity[w]).tolist(),
+            rows,
+            needs,
+            probabilities,
+            cheapest_unit,
             recourse_cost_fn(needs, probabilities, cheapest_unit),
             config.node_limit,
         )
@@ -329,17 +525,36 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
     outcomes = parallel_map(solve_vsp, range(instance.num_vsps))
 
     bundles = np.zeros((instance.num_vsps, num_devices), dtype=np.int64)
-    incomplete = []
     for w, outcome in enumerate(outcomes):
         if outcome.bundles is not None:
             bundles[w] = outcome.bundles
-        if outcome.exceeded:
-            incomplete.append(w)
 
     solution = evaluate_total(ReservationPlan.from_bundles(bundles), instance)
-    if incomplete:
-        raise NodeLimitError(solution, incomplete, config.node_limit)
+    _raise_if_cut(solution, outcomes, config.node_limit, feasible=True)  # zero bundles buy on demand
     return solution
+
+
+def _raise_if_cut(
+    solution: Solution, outcomes: Sequence[_SearchOutcome], node_limit: int, feasible: bool
+) -> None:
+    """Raise :class:`NodeLimitError` if some VSP search ran out of nodes.
+
+    The lower bound sums every VSP's bound; for a feasible partial plan it is
+    capped at the partial total, so summation order cannot make the gap
+    negative.  An infeasible partial plan (a DIP VSP cut short before any plan
+    covered it) has an infinite gap.
+    """
+    incomplete = [w for w, outcome in enumerate(outcomes) if outcome.exceeded]
+    if not incomplete:
+        return
+    total = solution.cost.total
+    lower_bound = sum(outcome.bound for outcome in outcomes)
+    if feasible:
+        lower_bound = min(lower_bound, total)
+        gap = (total - lower_bound) / total if total > 0.0 else 0.0
+    else:
+        gap = math.inf
+    raise NodeLimitError(solution, incomplete, node_limit, lower_bound, gap)
 
 
 def dip_from_instance(instance: ProblemInstance, scenario_index: int = 0) -> DipInstance:

@@ -334,3 +334,19 @@ class TestSimilarityCommand:
         scores = {(r[1], r[2]): float(r[3]) for r in rows[1:]}
         assert scores[("2", "0")] == pytest.approx(0.83, abs=1e-9)
         assert scores[("0", "1")] == pytest.approx(0.793, abs=1e-9)
+
+    def test_uneven_demand_lists_are_a_validation_failure(self, runner, tmp_path):
+        # a second VSP demand in scenario 1 only; the problem declares one VSP
+        doc = json.loads(sm.data_file("interest_switch_corpus.json").read_text())
+        doc["scenarios"][1]["per_vsp"].append(dict(doc["scenarios"][1]["per_vsp"][0]))
+        for name in ("corpora_demo.csv", "embeddings_demo.json"):
+            (tmp_path / name).write_bytes(sm.data_file(name).read_bytes())
+        problem = tmp_path / "uneven.json"
+        problem.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["--json-errors", "similarity", "--problem", str(problem)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr)
+        assert payload == {
+            "error": "scenario 1 lists 2 vsp demands, expected 1",
+            "type": "ValidationFailure",
+        }

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import semalloc as sm
 from semalloc import (
@@ -27,7 +28,9 @@ from _support import (
     oracle_bundle_bounds,
     random_plan,
 )
-from semalloc.recourse import shortfalls
+from semalloc.core_model import reservation_bundle_cost
+from semalloc.recourse import shortfalls, snapped_requirements
+from semalloc.solvers import TIE_REL, _child_bounds, _count_interval, _suffix_scales, _weighted_gap
 from test_recourse import build_instance, device_with_unit_cost, repro_instance
 
 
@@ -250,6 +253,62 @@ class TestSolveSip:
         assert err.value.incomplete_vsps
         assert math.isfinite(err.value.partial.cost.total)
 
+    def test_node_limit_reports_lower_bound_and_gap(self):
+        rng = np.random.default_rng(31)
+        cut_short = 0
+        for _ in range(30):
+            inst = make_random_instance(rng)
+            try:
+                solve_sip(inst, SolverConfig(node_limit=2))
+            except NodeLimitError as err:
+                cut_short += 1
+                total = err.partial.cost.total
+                optimum = enumerate_sip_minimum(inst)
+                assert err.lower_bound <= optimum + 1e-12 and optimum <= total + 1e-12
+                assert err.gap == ((total - err.lower_bound) / total if total > 0 else 0.0)
+                assert f"lower bound {err.lower_bound:.10g}" in str(err)
+                assert f"gap {err.gap:.2%}" in str(err)
+        assert cut_short >= 10
+
+    def test_node_limit_lower_bound_for_dip(self):
+        dip = make_dip([[0.5, 0.75, 1.0]], [1000], bundle_size=10)
+        optimum = solve_dip(dip).cost.total
+        with pytest.raises(NodeLimitError) as err:
+            solve_dip(dip, SolverConfig(node_limit=2))
+        assert 0.0 < err.value.lower_bound <= optimum
+
+    def test_small_prices_do_not_widen_the_tie_window(self):
+        # [[1, 0]] costs 0.03025 * scale and [[0, 2]] 0.0305 * scale; both cover every
+        # scenario.  At scale 1e-6 the gap, 2.5e-10, is under an absolute 1e-9 window
+        # but is 0.8% of the cost: the lexicographically smaller [[0, 2]] must not win.
+        def device(e, membership, alpha_on_demand):
+            return sm.EdgeDevice(
+                id=e,
+                uplink_rate=2.5e6,
+                transmit_power=0.1,
+                avg_payload_semantic=5125.0,
+                membership_cost=membership * 1e-6,
+                bundle_size=10,
+                alpha_reservation=5.0e-6,
+                alpha_on_demand=alpha_on_demand * 1e-6,
+            )
+
+        scenarios = (
+            sm.DemandScenario(0.38, (sm.VspDemand("k", 5, 0.76),)),
+            sm.DemandScenario(0.62, (sm.VspDemand("k", 9, 0.37),)),
+        )
+        inst = sm.ProblemInstance(
+            (device(0, 0.02, 728.0), device(1, 0.01, 311.0)),
+            (sm.Vsp(0),),
+            scenarios,
+            [[[0.38, 0.45], [0.86, 0.21]]],
+        )
+        solution = solve_sip(inst)
+        assert solution.plan.bundles.tolist() == [[1, 0]]
+        assert solution.cost.total == min(
+            evaluate_total(ReservationPlan.from_bundles(plan), inst).cost.total for plan in _lattice(inst)
+        )
+
     def test_bundle_cap_override_restricts_search(self, singapore):
         caps = np.zeros((2, 3), dtype=np.int64)
         solution = solve_sip(singapore, SolverConfig(bundle_cap_override=caps))
@@ -439,3 +498,181 @@ class TestDecimalGrids:
             solution = solve_dip(dip)
             assert not shortfalls(solution.plan.bundles, inst).any()
             assert solution.cost.total == pytest.approx(min(covering), rel=1e-12, abs=1e-15)
+
+
+def _lattice_plans(instance: sm.ProblemInstance) -> np.ndarray:
+    """Every one-VSP bundle vector up to the search bounds + 1, as rows of an (n, E) array."""
+    axes = [np.arange(n) for n in _lattice_axes(instance)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, instance.num_devices)
+
+
+def _lattice_costs(plans: np.ndarray, instance: sm.ProblemInstance) -> np.ndarray:
+    """Two-stage cost of each one-VSP plan row, in one vectorized pass.
+
+    Same rule as ``evaluate_total`` (snapped requirement, whole on-demand units
+    from the cheapest device), computed independently of the search.
+    """
+    devices = instance.devices
+    per_bundle = np.array([dev.bundle_size for dev in devices])[:, None] * instance.similarity[0]
+    gap = snapped_requirements(instance)[0] - plans @ per_bundle
+    expected_units = np.ceil(np.maximum(0.0, gap)) @ instance.probabilities
+    stage1 = plans @ [reservation_bundle_cost(dev) for dev in devices]
+    stage1 = stage1 + (plans >= 1) @ [dev.membership_cost for dev in devices]
+    return stage1 + expected_units * min(on_demand_unit_cost(dev) for dev in devices)
+
+
+def _with_twin(instance: sm.ProblemInstance, scale: float) -> sm.ProblemInstance:
+    """``instance`` plus an exact copy of device 0 (a planted tie), every price times ``scale``."""
+    devices = tuple(
+        dataclasses.replace(
+            dev,
+            id=e,
+            membership_cost=dev.membership_cost * scale,
+            alpha_reservation=dev.alpha_reservation * scale,
+            alpha_on_demand=dev.alpha_on_demand * scale,
+        )
+        for e, dev in enumerate(instance.devices + instance.devices[:1])
+    )
+    similarity = np.concatenate([instance.similarity, instance.similarity[:, :1]], axis=1)
+    return sm.ProblemInstance(devices, instance.vsps, instance.scenarios, similarity)
+
+
+def _tie_rule_plan(plans: np.ndarray, instance: sm.ProblemInstance, covering_only: bool = False):
+    """The ``evaluate_total`` lattice minimum and the plan the documented tie rule picks.
+
+    Plans within ``TIE_REL * minimum`` of the minimum tie, and the
+    lexicographically smallest of them wins.  The vectorized costs only narrow
+    the candidates; ``evaluate_total`` decides.
+    """
+    costs = _lattice_costs(plans, instance)
+    if covering_only:
+        feasible = [not shortfalls(plan[None], instance).any() for plan in plans]
+        costs = np.where(feasible, costs, np.inf)
+    floor = costs.min()
+    if floor == np.inf:
+        return None, None
+    candidates = plans[costs <= floor * (1 + 3 * TIE_REL)]
+    totals = [evaluate_total(ReservationPlan.from_bundles(plan[None]), instance).cost.total for plan in candidates]
+    best = min(totals)
+    tied = [tuple(plan.tolist()) for plan, total in zip(candidates, totals) if total <= best * (1 + TIE_REL)]
+    return best, min(tied)
+
+
+class TestRecourseBound:
+    """The LP-dual bound of the search never prunes a count that could still win."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_excluded_counts_cannot_beat_the_incumbent(self, seed, data):
+        inst = make_decimal_instance(np.random.default_rng(seed))
+        devices = inst.devices
+        order = data.draw(st.permutations(range(inst.num_devices)), label="order")
+        memberships = [dev.membership_cost for dev in devices]
+        bundle_costs = [reservation_bundle_cost(dev) for dev in devices]
+        rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
+        unit = min(on_demand_unit_cost(dev) for dev in devices)
+        probabilities = list(inst.probabilities)
+        scales = _suffix_scales(order, bundle_costs, rows, probabilities, unit)
+        needs = snapped_requirements(inst)[0].tolist()
+        ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
+
+        plans = _lattice_plans(inst)
+        costs = _lattice_costs(plans, inst)
+        depth = data.draw(st.integers(0, inst.num_devices - 1), label="depth")
+        stage1, covered = 0.0, [0.0] * inst.num_scenarios
+        subtree = np.ones(len(plans), dtype=bool)
+        for e in order[:depth]:
+            count = data.draw(st.integers(0, ubs[e] + 1), label=f"count of device {e}")
+            if count:
+                stage1 = stage1 + (memberships[e] + count * bundle_costs[e])
+                covered = [c + count * r for c, r in zip(covered, rows[e])]
+            subtree &= plans[:, e] == count
+        incumbent = data.draw(
+            st.sampled_from([costs.min(), costs[subtree].min(), costs.max()])
+            | st.integers(0, len(plans) - 1).map(lambda k: costs[k]),
+            label="incumbent",
+        )
+        ceiling = incumbent + TIE_REL * incumbent
+
+        e, scale = order[depth], scales[depth + 1]
+        zero = stage1 + scale * _weighted_gap(needs, covered, probabilities)
+        bounds = _child_bounds(stage1 + memberships[e], bundle_costs[e], needs, covered, rows[e], probabilities, scale)
+        first, last = _count_interval(bounds, ceiling, ubs[e])
+        excluded = ([] if zero <= ceiling else [0]) + [k for k in range(1, ubs[e] + 1) if not first <= k <= last]
+        for count in excluded:
+            completions = costs[subtree & (plans[:, e] == count)]
+            assert completions.min() > ceiling, (count, completions.min(), ceiling)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    @example(seed=60, scale=1.0)  # 59 bundles split over the twins; rounding once picked (1, 58)
+    def test_sip_picks_the_tie_rule_plan_among_planted_ties(self, seed, scale):
+        inst = _with_twin(make_decimal_instance(np.random.default_rng(seed)), scale)
+        best, expected = _tie_rule_plan(_lattice_plans(inst), inst)
+        solution = solve_sip(inst)
+        assert solution.cost.total <= best * (1 + TIE_REL)
+        assert tuple(solution.plan.bundles[0].tolist()) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_dip_picks_the_tie_rule_plan_among_planted_ties(self, seed, scale):
+        inst = _with_twin(make_decimal_instance(np.random.default_rng(seed), max_scenarios=1), scale)
+        best, expected = _tie_rule_plan(_lattice_plans(inst), inst, covering_only=True)
+        if best is None:
+            with pytest.raises(InfeasibleError):
+                solve_dip(dip_from_instance(inst))
+            return
+        solution = solve_dip(dip_from_instance(inst))
+        assert solution.cost.total <= best * (1 + TIE_REL)
+        assert tuple(solution.plan.bundles[0].tolist()) == expected
+
+
+def hard_instance(seed: int) -> sm.ProblemInstance:
+    """One VSP, nine devices, three scenarios: the family that hit the node budget.
+
+    Quantity 400-599, thresholds 0.5-1.0 and similarity 0.05-0.99 on the
+    hundredths grid, bundle size 5-10: hundreds of counts per device, so a
+    search pruned on stage-1 cost alone runs out of 10 000 nodes.
+    """
+    rng = np.random.default_rng(seed)
+
+    def hundredths(low, high, size=None):
+        return np.round(rng.uniform(low, high, size=size), 2)
+
+    devices = tuple(
+        sm.EdgeDevice(
+            id=e,
+            uplink_rate=float(rng.choice((1.5e6, 2.5e6, 3.5e6))),
+            transmit_power=float(rng.choice((0.07, 0.1, 0.13))),
+            avg_payload_semantic=5125.0,
+            membership_cost=float(hundredths(0.01, 0.15)),
+            bundle_size=int(rng.integers(5, 11)),
+            alpha_reservation=5.0,
+            alpha_on_demand=15.0,
+        )
+        for e in range(9)
+    )
+    cuts = np.sort(rng.choice(np.arange(1, 100), size=2, replace=False))
+    scenarios = tuple(
+        sm.DemandScenario(
+            float(p), (sm.VspDemand("k", int(rng.integers(400, 600)), float(hundredths(0.5, 1.0))),)
+        )
+        for p in np.diff(cuts, prepend=0, append=100) / 100
+    )
+    return sm.ProblemInstance(devices, (sm.Vsp(0),), scenarios, hundredths(0.05, 0.99, size=(1, 9, 3)))
+
+
+class TestScalingWall:
+    def test_hard_instance_solves_within_the_node_budget(self):
+        inst = hard_instance(5)
+        solution = solve_sip(inst, SolverConfig(node_limit=10_000))
+        bundles = solution.plan.bundles
+        assert np.count_nonzero(bundles) == 2
+        for e in range(inst.num_devices):
+            for delta in (-1, 1):
+                neighbour = bundles.copy()
+                neighbour[0, e] += delta
+                if neighbour[0, e] < 0:
+                    continue
+                total = evaluate_total(ReservationPlan.from_bundles(neighbour), inst).cost.total
+                assert total >= solution.cost.total * (1 - 1e-12), (e, delta)
