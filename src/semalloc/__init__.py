@@ -38,9 +38,11 @@ from .errors import (
 )
 from .ingestion import load_problem, read_solution, write_solution
 from .recourse import (
+    PlanCosts,
     RecourseDecision,
     ReservationPlan,
     Solution,
+    evaluate_many,
     evaluate_total,
     optimal_recourse,
     shortfalls,

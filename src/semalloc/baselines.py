@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .core_model import ProblemInstance
-from .recourse import ReservationPlan, Solution, evaluate_total
+from .recourse import ReservationPlan, Solution, evaluate_many, evaluate_total
 from .solvers import DipInstance, SolverConfig, bundle_upper_bound, solve_dip
 
 
@@ -33,14 +32,19 @@ class RandomSchemeConfig:
 
 @dataclass(frozen=True)
 class RandomSchemeResult:
-    """Every sampled plan's evaluation plus aggregate statistics."""
+    """Every sampled plan and its total, aggregate statistics, and the best plan's solution.
 
-    solutions: tuple[Solution, ...]
+    ``plans`` is a read-only ``(samples, vsp, device)`` bundle stack;
+    ``best`` is :func:`evaluate_total` of ``plans[best_index]``.
+    """
+
+    plans: np.ndarray
     totals: tuple[float, ...]
     mean_total: float
     min_total: float
     max_total: float
     best_index: int
+    best: Solution
 
 
 def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> Solution:
@@ -48,25 +52,15 @@ def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> 
 
     The averaged requirement is E[quantity*threshold] (the constraint's
     right-hand side is the product, so its expectation is the faithful mean
-    demand), posed with threshold 1.  Infeasibility of the averaged program
+    demand), posed with threshold 1.  Both averages are accumulated scenario
+    by scenario in index order.  Infeasibility of the averaged program
     propagates unchanged.
     """
-    probabilities = [scen.probability for scen in instance.scenarios]
-    avg_requirement = np.array(
-        [
-            sum(
-                p * instance.requirement(w, i)
-                for i, p in enumerate(probabilities)
-            )
-            for w in range(instance.num_vsps)
-        ]
-    )
+    avg_requirement = np.zeros(instance.num_vsps)
     avg_similarity = np.zeros((instance.num_vsps, instance.num_devices))
-    for w in range(instance.num_vsps):
-        for e in range(instance.num_devices):
-            avg_similarity[w, e] = sum(
-                p * float(instance.similarity[w, e, i]) for i, p in enumerate(probabilities)
-            )
+    for i, scen in enumerate(instance.scenarios):
+        avg_requirement = avg_requirement + scen.probability * instance.requirements[:, i]
+        avg_similarity = avg_similarity + scen.probability * instance.similarity[:, :, i]
     dip = DipInstance(
         devices=instance.devices,
         actual_similarity=avg_similarity,
@@ -80,37 +74,40 @@ def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> 
 def solve_random(instance: ProblemInstance, config: RandomSchemeConfig) -> RandomSchemeResult:
     """Uniform random plans within the per-(vsp, device) bundle bounds.
 
-    Generator pinned for cross-run reproducibility: PCG64 seeded through
-    ``SeedSequence((seed, sample_index))``, bundle counts drawn with
-    ``Generator.integers``.  Per-sample seeding makes results independent of
-    evaluation order.
+    Generator pinned for cross-run reproducibility: sample ``k`` is drawn by
+    its own PCG64 seeded through ``SeedSequence((seed, k))``, bundle counts
+    drawn with ``Generator.integers``, so each plan is independent of the
+    sample count.  The stacked plans are priced together by one
+    :func:`evaluate_many` call; only the best is expanded into a full
+    :class:`Solution`.
     """
     upper = np.zeros((instance.num_vsps, instance.num_devices), dtype=np.int64)
     for w in range(instance.num_vsps):
         for e in range(instance.num_devices):
             upper[w, e] = bundle_upper_bound(w, e, instance)
 
-    def draw(index: int) -> Solution:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, index))))
-        bundles = rng.integers(0, upper + 1, dtype=np.int64)
-        return evaluate_total(ReservationPlan.from_bundles(bundles), instance)
-
-    solutions = tuple(parallel_map(draw, range(config.samples)))
-    totals = tuple(sol.cost.total for sol in solutions)
+    plans = np.stack([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, index))))
+        .integers(0, upper + 1, dtype=np.int64)
+        for index in range(config.samples)
+    ])
+    plans.setflags(write=False)
+    totals = tuple(evaluate_many(plans, instance).total.tolist())
     best_index = min(range(len(totals)), key=lambda i: (totals[i], i))
     return RandomSchemeResult(
-        solutions=solutions,
+        plans=plans,
         totals=totals,
         mean_total=sum(totals) / len(totals),
         min_total=min(totals),
         max_total=max(totals),
         best_index=best_index,
+        best=evaluate_total(ReservationPlan.from_bundles(plans[best_index]), instance),
     )
 
 
 def random_summary_dict(result: RandomSchemeResult) -> dict:
     """JSON-ready summary: per-sample totals plus aggregates and the best plan."""
-    best = result.solutions[result.best_index]
+    best = result.best
     return {
         "samples": len(result.totals),
         "totals": list(result.totals),

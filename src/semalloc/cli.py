@@ -4,7 +4,8 @@ CSV columns are named after the quantities they hold (probability, stage
 costs, totals) so any plotting tool reproduces the standard cost-structure,
 probability-sweep, and scheme-comparison figures directly.  All outputs are
 byte-deterministic for fixed inputs and seeds; SEMALLOC_THREADS is validated
-but every command runs sequentially, so its value never changes a byte.
+before any command runs, but every command runs sequentially, so its value
+never changes a byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import click
 
-from ._parallel import parallel_map
+from ._parallel import parallel_map, thread_count
 from .baselines import RandomSchemeConfig, random_summary_dict, solve_evf, solve_random
 from .core_model import (
     ProblemInstance,
@@ -137,6 +138,17 @@ def compare_rows(
     """Totals for SIP, EVF, and the random scheme at each on-demand cost factor."""
     if any(f <= 0 for f in factors):
         raise ConfigurationError("on-demand cost factors must be positive")
+    # the same product scale_on_demand_cost forms, so the check agrees with EdgeDevice's
+    inverted = [
+        f for f in factors
+        if any(dev.alpha_on_demand * f <= dev.alpha_reservation for dev in instance.devices)
+    ]
+    if inverted:
+        bound = max(dev.alpha_reservation / dev.alpha_on_demand for dev in instance.devices)
+        raise ConfigurationError(
+            "on-demand cost factors must exceed max_e alpha_reservation/alpha_on_demand = "
+            f"{bound!r}; got {', '.join(repr(f) for f in inverted)}"
+        )
 
     def solve_point(factor: float) -> list:
         scaled = scale_on_demand_cost(instance, factor)
@@ -214,6 +226,8 @@ def main(ctx: click.Context, json_errors: bool):
     """Subscription provisioning of semantic-data transmissions under uncertain demand."""
     ctx.ensure_object(dict)
     ctx.obj["json_errors"] = json_errors
+    with _reported_errors(ctx):
+        thread_count()
 
 
 @main.command()

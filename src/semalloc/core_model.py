@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,6 +157,20 @@ class ProblemInstance:
 
     def requirement(self, vsp: int, scenario: int) -> float:
         return self.scenarios[scenario].per_vsp[vsp].requirement
+
+    @cached_property
+    def requirements(self) -> np.ndarray:
+        """Read-only requirement matrix, indexed ``(vsp, scenario)``.
+
+        Built on first use, so an instance whose scenarios list the wrong
+        number of VSP demands still reaches :func:`validate_instance`.
+        """
+        matrix = np.array(
+            [[scen.per_vsp[w].requirement for scen in self.scenarios] for w in range(self.num_vsps)],
+            dtype=np.float64,
+        ).reshape(self.num_vsps, self.num_scenarios)
+        matrix.setflags(write=False)
+        return matrix
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,8 +106,7 @@ def snap(requirement):
 
 def snapped_requirements(instance: ProblemInstance) -> np.ndarray:
     """Snapped requirements of every VSP, indexed (vsp, scenario)."""
-    rows = [[demand.requirement for demand in scen.per_vsp] for scen in instance.scenarios]
-    return snap(np.array(rows, dtype=np.float64).reshape(instance.num_scenarios, instance.num_vsps).T)
+    return snap(instance.requirements)
 
 
 def shortfalls(bundles, instance: ProblemInstance) -> np.ndarray:
@@ -115,11 +114,17 @@ def shortfalls(bundles, instance: ProblemInstance) -> np.ndarray:
 
     Reserved coverage counts bundle transmissions scaled by the similarity
     score; the gap to the snapped requirement is rounded up because purchases
-    are whole transmissions.
+    are whole transmissions.  ``bundles`` may also be a stack ``(n, vsp,
+    device)`` of plans, giving ``(n, vsp, scenario)``.  Coverage is summed
+    device by device in index order, so a plan's shortfalls do not depend on
+    the other plans in its stack.
     """
+    counts = np.asarray(bundles, dtype=np.float64)
     sizes = np.array([dev.bundle_size for dev in instance.devices], dtype=np.float64)
-    per_bundle = sizes[:, None] * instance.similarity
-    coverage = np.einsum("we,wen->wn", np.asarray(bundles, dtype=np.float64), per_bundle)
+    per_bundle = sizes[:, None] * instance.similarity  # (vsp, device, scenario)
+    coverage = np.zeros(counts.shape[:-1] + (instance.num_scenarios,))
+    for e in range(instance.num_devices):
+        coverage += counts[..., e, None] * per_bundle[:, e, :]
     gap = np.maximum(0.0, snapped_requirements(instance) - coverage)
     return np.ceil(gap).astype(np.int64)
 
@@ -143,16 +148,39 @@ def recourse_cost_fn(
     return cost
 
 
-def stage1_costs(bundles, devices: Sequence[EdgeDevice]) -> tuple[float, float]:
-    """Membership and reservation totals, summed vsp-major; membership is paid where bundles are."""
-    membership_total = 0.0
-    reservation_total = 0.0
-    for row in np.asarray(bundles).tolist():
-        for count, dev in zip(row, devices):
-            if count >= 1:
-                membership_total += dev.membership_cost
-                reservation_total += float(count) * reservation_bundle_cost(dev)
-    return membership_total, reservation_total
+class PlanCosts(NamedTuple):
+    """Cost breakdown of a stack of plans: one float64 entry per plan in each field."""
+
+    membership_total: np.ndarray
+    reservation_total: np.ndarray
+    expected_on_demand: np.ndarray
+    total: np.ndarray
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis strictly left to right from ``0.0``.
+
+    The bits of ``total = 0.0; for t in row: total += t`` for every row at
+    once: a cumulative sum adds its terms in order, and the leading zero makes
+    the first partial sum ``0.0 + t`` as the loop does.
+    """
+    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    padded[..., 1:] = terms
+    return np.cumsum(padded, axis=-1)[..., -1]
+
+
+def stage1_costs(bundles: np.ndarray, devices: Sequence[EdgeDevice]) -> tuple[np.ndarray, np.ndarray]:
+    """Membership and reservation totals of each plan in an ``(n, vsp, device)`` stack.
+
+    Summed vsp-major, in (vsp, device) order; membership is paid where
+    bundles are.  A (vsp, device) with no bundles adds zero, which leaves the
+    partial sum as it was.
+    """
+    fees = np.array([dev.membership_cost for dev in devices], dtype=np.float64)
+    prices = np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64)
+    flat = (bundles.shape[0], bundles.shape[1] * bundles.shape[2])
+    membership = _ordered_sum(((bundles >= 1) * fees).reshape(flat))
+    return membership, _ordered_sum((bundles * prices).reshape(flat))
 
 
 def optimal_recourse(plan: ReservationPlan, instance: ProblemInstance) -> RecourseDecision:
@@ -168,23 +196,44 @@ def optimal_recourse(plan: ReservationPlan, instance: ProblemInstance) -> Recour
     return RecourseDecision(tensor)
 
 
+def evaluate_many(bundles, instance: ProblemInstance) -> PlanCosts:
+    """Full objective value of every plan in an ``(n, vsp, device)`` bundle stack.
+
+    Membership is paid exactly where bundles are bought.  Each (vsp,
+    scenario) shortfall is bought from the cheapest device.  Summation order
+    is fixed and is the same for every plan whatever the stack holds: stage 1
+    vsp-major (:func:`stage1_costs`), recourse scenario-major and within a
+    scenario vsp by vsp (:func:`_ordered_sum`), with coverage summed in device
+    order (:func:`shortfalls`).  A plan's costs are therefore bit-identical in
+    a stack of one or of many, and no per-plan recourse tensor is built.
+    """
+    counts = np.asarray(bundles, dtype=np.int64)
+    if counts.ndim != 3 or counts.shape[1:] != (instance.num_vsps, instance.num_devices):
+        raise ValueError(
+            f"bundles must have shape (n, {instance.num_vsps}, {instance.num_devices}), got {counts.shape}"
+        )
+    if (counts < 0).any():
+        raise ValueError("bundle counts must be non-negative")
+    membership_total, reservation_total = stage1_costs(counts, instance.devices)
+
+    unit_cost = on_demand_unit_cost(instance.devices[cheapest_device(instance)])
+    units = shortfalls(counts, instance) * unit_cost  # (n, vsp, scenario)
+    scenario_costs = _ordered_sum(units.transpose(0, 2, 1))  # (n, scenario), summed vsp by vsp
+    expected = _ordered_sum(instance.probabilities * scenario_costs)
+
+    total = membership_total + reservation_total + expected
+    return PlanCosts(membership_total, reservation_total, expected, total)
+
+
 def evaluate_total(plan: ReservationPlan, instance: ProblemInstance) -> Solution:
-    """Full objective value of a plan: stage-1 charges plus expected recourse.
+    """Full objective value of one plan: :func:`evaluate_many` on a stack of one.
 
     Membership is normalized to exactly the devices with bundles; paying a
-    membership without bundles buys nothing.  Summation order is fixed
-    (stage 1 vsp-major; recourse scenario-major, then vsp) so results never
-    depend on evaluation order.
+    membership without bundles buys nothing.  The returned solution carries
+    the optimal recourse tensor and the same cost bits the plan has in any
+    :func:`evaluate_many` stack.
     """
     normalized = ReservationPlan.from_bundles(plan.bundles)
-    membership_total, reservation_total = stage1_costs(normalized.bundles, instance.devices)
-
-    recourse = optimal_recourse(normalized, instance)
-    target = cheapest_device(instance)
-    unit_cost = on_demand_unit_cost(instance.devices[target])
-    expected = 0.0
-    for scen, column in zip(instance.scenarios, recourse.on_demand[:, target, :].T.tolist()):
-        expected += scen.probability * sum(units * unit_cost for units in column)
-
-    cost = CostBreakdown.from_parts(membership_total, reservation_total, expected)
-    return Solution(plan=normalized, recourse=recourse, cost=cost)
+    costs = evaluate_many(normalized.bundles[None], instance)
+    cost = CostBreakdown(*(float(column[0]) for column in costs))
+    return Solution(plan=normalized, recourse=optimal_recourse(normalized, instance), cost=cost)

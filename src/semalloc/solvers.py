@@ -39,6 +39,7 @@ from .recourse import (
     RecourseDecision,
     ReservationPlan,
     Solution,
+    evaluate_many,
     evaluate_total,
     recourse_cost_fn,
     snap,
@@ -127,9 +128,7 @@ def bundle_upper_bound(w: int, e: int, instance: ProblemInstance) -> int:
     positive = column[column > 0.0]
     if positive.size == 0:
         return 0
-    max_requirement = max(
-        instance.requirement(w, i) for i in range(instance.num_scenarios)
-    )
+    max_requirement = float(instance.requirements[w].max())
     if max_requirement <= 0.0:
         return 0
     per_bundle = instance.devices[e].bundle_size * float(positive.min())
@@ -458,11 +457,11 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
                 w, f"VSP {w}: no bundle vector within the search bounds covers {requirement}"
             )
 
-    membership_total, reservation_total = stage1_costs(bundles, devices)
+    membership_total, reservation_total = stage1_costs(bundles[None], devices)
     solution = Solution(
         ReservationPlan.from_bundles(bundles),
         RecourseDecision(np.zeros((dip.num_vsps, num_devices, 1), dtype=np.int64)),
-        CostBreakdown.from_parts(membership_total, reservation_total, 0.0),
+        CostBreakdown.from_parts(float(membership_total[0]), float(reservation_total[0]), 0.0),
     )
     feasible = all(outcome.bundles is not None for outcome in outcomes)
     _raise_if_cut(solution, outcomes, config.node_limit, feasible)
@@ -589,20 +588,25 @@ def sweep_first_stage(
     """Evaluate the full objective along one (vsp, device) bundle axis.
 
     All other plan entries stay at zero, exposing how the rising stage-1 cost
-    trades against the shrinking expected on-demand cost.
+    trades against the shrinking expected on-demand cost.  Every count is
+    priced in one :func:`evaluate_many` call, so each row has the bits
+    :func:`evaluate_total` gives its plan.
     """
     if not 0 <= w < instance.num_vsps:
         raise ValueError(f"vsp index {w} out of range")
     if not 0 <= e < instance.num_devices:
         raise ValueError(f"device index {e} out of range")
-
-    def evaluate(count: int) -> SweepPoint:
+    counts = list(counts)
+    for count in counts:
         if count < 0:
             raise ValueError(f"bundle counts must be non-negative, got {count}")
-        bundles = np.zeros((instance.num_vsps, instance.num_devices), dtype=np.int64)
-        bundles[w, e] = count
-        solution = evaluate_total(ReservationPlan.from_bundles(bundles), instance)
-        stage1 = solution.cost.membership_total + solution.cost.reservation_total
-        return SweepPoint(count, stage1, solution.cost.expected_on_demand, solution.cost.total)
-
-    return parallel_map(evaluate, list(counts))
+    bundles = np.zeros((len(counts), instance.num_vsps, instance.num_devices), dtype=np.int64)
+    bundles[:, w, e] = counts
+    costs = evaluate_many(bundles, instance)
+    stage1 = (costs.membership_total + costs.reservation_total).tolist()
+    return [
+        SweepPoint(count, first, second, total)
+        for count, first, second, total in zip(
+            counts, stage1, costs.expected_on_demand.tolist(), costs.total.tolist()
+        )
+    ]

@@ -60,8 +60,20 @@ class TestRandomScheme:
     def test_zero_bounds_give_zero_plans(self):
         inst = build_instance([1.0], [[[0.5]]], [[0]])
         result = solve_random(inst, RandomSchemeConfig(seed=9, samples=10))
-        assert all(not sol.plan.bundles.any() for sol in result.solutions)
+        assert result.plans.shape == (10, 1, 1) and not result.plans.any()
         assert result.mean_total == 0.0
+
+    def test_plans_stack_and_best_solution(self, singapore):
+        result = solve_random(singapore, RandomSchemeConfig(seed=5, samples=30))
+        assert result.plans.shape == (30, 2, 3) and not result.plans.flags.writeable
+        best = evaluate_total(ReservationPlan.from_bundles(result.plans[result.best_index]), singapore)
+        assert result.best.cost == best.cost and result.best.cost.total == result.min_total
+        assert np.array_equal(result.best.recourse.on_demand, best.recourse.on_demand)
+
+    def test_plans_do_not_depend_on_the_sample_count(self, singapore):
+        few = solve_random(singapore, RandomSchemeConfig(seed=5, samples=3))
+        many = solve_random(singapore, RandomSchemeConfig(seed=5, samples=30))
+        assert np.array_equal(few.plans, many.plans[:3]) and few.totals == many.totals[:3]
 
     def test_fixed_seed_reproduces_totals(self, singapore):
         config = RandomSchemeConfig(seed=7, samples=50)

@@ -145,6 +145,24 @@ class TestThreadsVariable:
         assert "SEMALLOC_THREADS" in payload["error"]
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--scheme", "random", "--samples", "3"],
+            ["sweep-bundles", "--max", "2"],
+            ["similarity"],
+        ],
+        ids=["random", "sweep-bundles", "similarity"],
+    )
+    def test_every_command_validates(self, runner, args):
+        problem = ["--problem", str(sm.data_file("singapore_demo.json"))]
+        result = runner.invoke(main, ["--json-errors", *args, *problem], env={"SEMALLOC_THREADS": "0"})
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigurationError"
+        assert "SEMALLOC_THREADS" in payload["error"]
+
+
 class TestSweepProbability:
     def test_csv_shape_and_endpoints(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -270,6 +288,23 @@ class TestCompare:
             assert sip <= evf + 1e-9
             assert sip <= rmean + 1e-9
             assert sip <= rmin + 1e-9
+
+
+    def test_inverted_factors_rejected_before_any_solve(self, runner, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solved before every factor was checked")
+
+        monkeypatch.setattr("semalloc.cli.solve_sip", unexpected)
+        problem = str(sm.data_file("singapore_demo.json"))
+        result = runner.invoke(main, ["--json-errors", "compare", "--problem", problem, "--grid", "0.1:3:0.1"])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "ConfigurationError"
+        # alpha_reservation 5 over alpha_on_demand 15 on every device; 0.4 * 15 = 6 > 5 is valid
+        assert payload["error"] == (
+            "on-demand cost factors must exceed max_e alpha_reservation/alpha_on_demand = "
+            "0.3333333333333333; got 0.1, 0.2, 0.3"
+        )
 
 
 class TestEnergyReport:

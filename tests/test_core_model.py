@@ -203,6 +203,26 @@ class TestValidation:
             VspDemand("k", 1, 1.5)
 
 
+class TestRequirementMatrix:
+    def test_matches_requirement_and_is_read_only(self):
+        inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))
+        assert inst.requirements.tolist() == [
+            [inst.requirement(w, i) for i in range(inst.num_scenarios)] for w in range(inst.num_vsps)
+        ]
+        with pytest.raises(ValueError):
+            inst.requirements[0, 0] = 1.0
+
+    def test_ragged_demand_lists_still_reach_validation(self):
+        inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))
+        ragged = ProblemInstance(
+            inst.devices,
+            inst.vsps,
+            (inst.scenarios[0], DemandScenario(0.5, inst.scenarios[1].per_vsp[:1])),
+            inst.similarity,
+        )
+        assert "scenario 1 lists 1 vsp demands, expected 2" in validate_instance(ragged).violations
+
+
 class TestInstanceUpdates:
     def test_similarity_tensor_is_immutable(self):
         inst = tiny_instance()

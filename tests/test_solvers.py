@@ -500,6 +500,64 @@ class TestDecimalGrids:
             assert solution.cost.total == pytest.approx(min(covering), rel=1e-12, abs=1e-15)
 
 
+def _loop_costs(bundles: np.ndarray, instance: sm.ProblemInstance) -> tuple[float, float, float, float]:
+    """Reference costs of one plan: plain loops in the documented order over exact shortfalls.
+
+    Stage 1 vsp-major, paying membership where bundles are; recourse
+    scenario-major, then vsp, with every unit bought from the cheapest device.
+    """
+    membership = reservation = 0.0
+    for row in bundles.tolist():
+        for count, dev in zip(row, instance.devices):
+            if count >= 1:
+                membership += dev.membership_cost
+                reservation += float(count) * reservation_bundle_cost(dev)
+    unit_cost = min(on_demand_unit_cost(dev) for dev in instance.devices)
+    short = _exact_shortfalls(bundles, instance)
+    expected = 0.0
+    for i, scen in enumerate(instance.scenarios):
+        expected += scen.probability * sum(units * unit_cost for units in short[:, i].tolist())
+    return membership, reservation, expected, membership + reservation + expected
+
+
+class TestEvaluateMany:
+    """A plan's costs from ``evaluate_many`` are bit-identical whatever else its stack holds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 64), decimal=st.booleans())
+    def test_batch_equals_plan_by_plan(self, seed, size, decimal):
+        # hundredths-grid one-VSP problems, or dyadic problems with up to four VSPs
+        rng = np.random.default_rng(seed)
+        inst = make_decimal_instance(rng) if decimal else make_random_instance(rng, max_vsps=4)
+        bounds = oracle_bundle_bounds(inst) + 1
+        plans = rng.integers(0, bounds + 1, size=(size, *bounds.shape))
+        # an all-zero plan, then 1-3 bundles of one device (the planted exact covers)
+        special = [np.zeros_like(bounds)]
+        for w, e, k in itertools.product(range(inst.num_vsps), range(inst.num_devices), (1, 2, 3)):
+            special.append(np.zeros_like(bounds))
+            special[-1][w, e] = k
+        count = min(size, len(special))
+        plans[rng.choice(size, count, replace=False)] = special[:count]
+        costs = sm.evaluate_many(plans, inst)
+        for j, plan in enumerate(plans):
+            cost = evaluate_total(ReservationPlan.from_bundles(plan), inst).cost
+            batch = tuple(float(column[j]) for column in costs)
+            assert batch == (cost.membership_total, cost.reservation_total, cost.expected_on_demand, cost.total)
+            assert batch == _loop_costs(plan, inst)
+
+    def test_rejects_wrong_shape_and_negative_counts(self, singapore):
+        with pytest.raises(ValueError, match="shape"):
+            sm.evaluate_many(np.zeros((2, 3), dtype=np.int64), singapore)
+        with pytest.raises(ValueError, match="shape"):
+            sm.evaluate_many(np.zeros((1, 3, 2), dtype=np.int64), singapore)
+        with pytest.raises(ValueError, match="non-negative"):
+            sm.evaluate_many(-np.ones((1, 2, 3), dtype=np.int64), singapore)
+
+    def test_empty_stack(self, singapore):
+        costs = sm.evaluate_many(np.zeros((0, 2, 3), dtype=np.int64), singapore)
+        assert all(column.shape == (0,) for column in costs)
+
+
 def _lattice_plans(instance: sm.ProblemInstance) -> np.ndarray:
     """Every one-VSP bundle vector up to the search bounds + 1, as rows of an (n, E) array."""
     axes = [np.arange(n) for n in _lattice_axes(instance)]
