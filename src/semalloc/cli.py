@@ -4,7 +4,7 @@ CSV columns are named after the quantities they hold (probability, stage
 costs, totals) so any plotting tool reproduces the standard cost-structure,
 probability-sweep, and scheme-comparison figures directly.  All outputs are
 byte-deterministic for fixed inputs and seeds; SEMALLOC_THREADS is validated
-before any command runs, but every command runs sequentially, so its value
+when a command starts, but every command runs sequentially, so its value
 never changes a byte.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -136,13 +137,15 @@ def compare_rows(
     config: SolverConfig | None = None,
 ) -> list[list]:
     """Totals for SIP, EVF, and the random scheme at each on-demand cost factor."""
-    if any(f <= 0 for f in factors):
-        raise ConfigurationError("on-demand cost factors must be positive")
-    # the same product scale_on_demand_cost forms, so the check agrees with EdgeDevice's
-    inverted = [
-        f for f in factors
-        if any(dev.alpha_on_demand * f <= dev.alpha_reservation for dev in instance.devices)
-    ]
+    if not all(math.isfinite(f) and f > 0 for f in factors):
+        raise ConfigurationError("on-demand cost factors must be positive and finite")
+    # every factor is checked, by the device constructor's pricing rule, before any solve
+    points, inverted = [], []
+    for factor in factors:
+        try:
+            points.append((factor, scale_on_demand_cost(instance, factor)))
+        except ValueError:
+            inverted.append(factor)
     if inverted:
         bound = max(dev.alpha_reservation / dev.alpha_on_demand for dev in instance.devices)
         raise ConfigurationError(
@@ -150,14 +153,14 @@ def compare_rows(
             f"{bound!r}; got {', '.join(repr(f) for f in inverted)}"
         )
 
-    def solve_point(factor: float) -> list:
-        scaled = scale_on_demand_cost(instance, factor)
+    def solve_point(point: tuple[float, ProblemInstance]) -> list:
+        factor, scaled = point
         sip_total = solve_sip(scaled, config).cost.total
         evf_total = solve_evf(scaled, config).cost.total
         random_result = solve_random(scaled, RandomSchemeConfig(seed=seed, samples=samples))
         return [factor, sip_total, evf_total, random_result.mean_total, random_result.min_total]
 
-    return parallel_map(solve_point, factors)
+    return parallel_map(solve_point, points)
 
 
 def energy_report_rows(instance: ProblemInstance) -> tuple[list[list], float]:
@@ -194,7 +197,9 @@ def similarity_rows(instance: ProblemInstance) -> list[list]:
 
 @contextmanager
 def _reported_errors(ctx: click.Context):
+    """Validate SEMALLOC_THREADS, then run a command body, reporting its failures."""
     try:
+        thread_count()
         yield
     except (SemallocError, ValueError) as exc:
         root = ctx.find_root()
@@ -226,8 +231,6 @@ def main(ctx: click.Context, json_errors: bool):
     """Subscription provisioning of semantic-data transmissions under uncertain demand."""
     ctx.ensure_object(dict)
     ctx.obj["json_errors"] = json_errors
-    with _reported_errors(ctx):
-        thread_count()
 
 
 @main.command()

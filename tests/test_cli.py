@@ -144,7 +144,6 @@ class TestThreadsVariable:
         assert payload["type"] == "ConfigurationError"
         assert "SEMALLOC_THREADS" in payload["error"]
 
-
     @pytest.mark.parametrize(
         "args",
         [
@@ -161,6 +160,17 @@ class TestThreadsVariable:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigurationError"
         assert "SEMALLOC_THREADS" in payload["error"]
+
+    @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["compare", "--help"]])
+    def test_help_ignores_the_value(self, runner, args):
+        result = runner.invoke(main, args, env={"SEMALLOC_THREADS": "abc"})
+        assert result.exit_code == 0
+        assert "Usage:" in result.output
+
+    def test_usage_errors_come_first(self, runner):
+        result = runner.invoke(main, ["solve"], env={"SEMALLOC_THREADS": "abc"})
+        assert result.exit_code == 2
+        assert "--problem" in result.stderr and "SEMALLOC_THREADS" not in result.stderr
 
 
 class TestSweepProbability:
@@ -289,6 +299,14 @@ class TestCompare:
             assert sip <= rmean + 1e-9
             assert sip <= rmin + 1e-9
 
+    @pytest.mark.parametrize("grid", ["0,1", "nan", "1,inf"])
+    def test_non_positive_or_non_finite_factor(self, runner, grid):
+        problem = str(sm.data_file("singapore_demo.json"))
+        result = runner.invoke(main, ["--json-errors", "compare", "--problem", problem, "--grid", grid])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr)
+        assert payload == {"error": "on-demand cost factors must be positive and finite",
+                           "type": "ConfigurationError"}
 
     def test_inverted_factors_rejected_before_any_solve(self, runner, monkeypatch):
         def unexpected(*args, **kwargs):
