@@ -172,6 +172,14 @@ class ProblemInstance:
         matrix.setflags(write=False)
         return matrix
 
+    @cached_property
+    def least_positive_similarity(self) -> np.ndarray:
+        """Read-only ``(vsp, device)`` minimum of the positive similarities; inf where none is positive."""
+        sim = self.similarity
+        matrix = np.where(sim > 0.0, sim, np.inf).min(axis=2, initial=np.inf)
+        matrix.setflags(write=False)
+        return matrix
+
 
 @dataclass(frozen=True)
 class CostBreakdown:

@@ -1,17 +1,40 @@
 """Problem-document loading, instance assembly, and solution serialization.
 
-A problem is one JSON document (schema below).  Similarity comes either as an
-explicit ``(vsp, device, scenario)`` tensor or from a category-corpus CSV plus
-an embeddings JSON, in which case the tensor is built through the similarity
-pipeline.  Paths inside a document resolve relative to the document itself.
+A problem is one JSON object with exactly these keys, and no record takes
+keys beyond those listed:
+
+- ``devices``: a non-empty array of devices, each with ``id`` (integer
+  >= 0), ``uplink_rate``, ``transmit_power``, ``alpha_reservation`` and
+  ``alpha_on_demand`` (numbers > 0), ``avg_payload_semantic`` and
+  ``membership_cost`` (numbers >= 0), ``bundle_size`` (integer >= 1), and
+  optionally ``avg_payload_raw`` (number >= 0);
+- ``vsps``: a non-empty array of ``{"id": integer >= 0}`` with an optional
+  string ``interest_label``;
+- ``scenarios``: a non-empty array of ``{"probability", "per_vsp"}``, the
+  probability a number in [0, 1] and ``per_vsp`` a non-empty array of
+  ``{"interest_key": string, "quantity": integer >= 0, "threshold": number
+  in [0, 1]}``;
+- ``similarity``: exactly one of ``{"tensor": [[[number]]]}``, indexed
+  ``(vsp, device, scenario)``, or ``{"corpus_file": string,
+  "embeddings_file": string}``, in which case the tensor is built through the
+  similarity pipeline.
+
+Types are those of JSON Schema draft 2020-12: ``true`` is no number, ``1.0``
+is an integer, and NaN passes every bound (the entities reject it later).
+The check accepts exactly what the package's former draft 2020-12 schema
+accepted, and a :class:`SchemaError` reads ``{file}: {json pointer}:
+{message}`` for the error ``jsonschema.exceptions.best_match`` picked.  A
+ragged tensor passes the check and is rejected as a :class:`ValidationFailure`.
+Paths inside a document resolve relative to the document itself.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from pathlib import Path
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from .core_model import (
@@ -28,117 +51,192 @@ from .errors import ConfigurationError, SchemaError, ValidationFailure
 from .recourse import RecourseDecision, ReservationPlan, Solution
 from .similarity import FileEmbeddings, build_similarity_tensor, load_corpora_csv
 
-_NUMBER = {"type": "number"}
-_NONNEG_NUMBER = {"type": "number", "minimum": 0}
-_NONNEG_INT = {"type": "integer", "minimum": 0}
+# ---------------------------------------------------------------------------
+# document check
+#
+# Each record kind maps its keys to a scalar rule, to the kind of the records
+# in a non-empty array, or to None for a value its caller checks.  A record
+# takes exactly the listed keys, and all but the optional ones are required.
 
-PROBLEM_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["devices", "vsps", "scenarios", "similarity"],
-    "additionalProperties": False,
-    "properties": {
-        "devices": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": [
-                    "id",
-                    "uplink_rate",
-                    "transmit_power",
-                    "avg_payload_semantic",
-                    "membership_cost",
-                    "bundle_size",
-                    "alpha_reservation",
-                    "alpha_on_demand",
-                ],
-                "additionalProperties": False,
-                "properties": {
-                    "id": _NONNEG_INT,
-                    "uplink_rate": {"type": "number", "exclusiveMinimum": 0},
-                    "transmit_power": {"type": "number", "exclusiveMinimum": 0},
-                    "avg_payload_semantic": _NONNEG_NUMBER,
-                    "avg_payload_raw": _NONNEG_NUMBER,
-                    "membership_cost": _NONNEG_NUMBER,
-                    "bundle_size": {"type": "integer", "minimum": 1},
-                    "alpha_reservation": {"type": "number", "exclusiveMinimum": 0},
-                    "alpha_on_demand": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-        "vsps": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": _NONNEG_INT,
-                    "interest_label": {"type": "string"},
-                },
-            },
-        },
-        "scenarios": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["probability", "per_vsp"],
-                "additionalProperties": False,
-                "properties": {
-                    "probability": {"type": "number", "minimum": 0, "maximum": 1},
-                    "per_vsp": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "object",
-                            "required": ["interest_key", "quantity", "threshold"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "interest_key": {"type": "string"},
-                                "quantity": _NONNEG_INT,
-                                "threshold": {"type": "number", "minimum": 0, "maximum": 1},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        "similarity": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "required": ["tensor"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "tensor": {
-                            "type": "array",
-                            "items": {
-                                "type": "array",
-                                "items": {"type": "array", "items": _NUMBER},
-                            },
-                        }
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["corpus_file", "embeddings_file"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "corpus_file": {"type": "string"},
-                        "embeddings_file": {"type": "string"},
-                    },
-                },
-            ]
-        },
+_NUMBER_TYPES = frozenset({int, float})  # exactly; bool is no number
+
+
+class _Rule(NamedTuple):
+    kind: str  # "integer", "number" or "string"
+    minimum: int | None = None
+    exclusive_minimum: int | None = None
+    maximum: int | None = None
+
+
+class _Kind(NamedTuple):
+    required: frozenset[str]
+    fields: dict  # in the schema's order, which is also the order missing keys are reported in
+
+
+def _kind(fields: dict, optional: tuple[str, ...] = ()) -> _Kind:
+    return _Kind(frozenset(fields.keys() - set(optional)), fields)
+
+
+_STRING = _Rule("string")
+_COUNT = _Rule("integer", minimum=0)
+_NONNEGATIVE = _Rule("number", minimum=0)
+_POSITIVE = _Rule("number", exclusive_minimum=0)
+_FRACTION = _Rule("number", minimum=0, maximum=1)
+
+_DEMAND = _kind({"interest_key": _STRING, "quantity": _COUNT, "threshold": _FRACTION})
+_SCENARIO = _kind({"probability": _FRACTION, "per_vsp": _DEMAND})
+_VSP = _kind({"id": _COUNT, "interest_label": _STRING}, optional=("interest_label",))
+_DEVICE = _kind(
+    {
+        "id": _COUNT,
+        "uplink_rate": _POSITIVE,
+        "transmit_power": _POSITIVE,
+        "avg_payload_semantic": _NONNEGATIVE,
+        "avg_payload_raw": _NONNEGATIVE,
+        "membership_cost": _NONNEGATIVE,
+        "bundle_size": _Rule("integer", minimum=1),
+        "alpha_reservation": _POSITIVE,
+        "alpha_on_demand": _POSITIVE,
     },
-}
+    optional=("avg_payload_raw",),
+)
+_PROBLEM = _kind({"devices": _DEVICE, "vsps": _VSP, "scenarios": _SCENARIO, "similarity": None})
+# the two similarity sources, exactly one of which must match
+_TENSOR_SOURCE = _kind({"tensor": None})
+_FILE_SOURCE = _kind({"corpus_file": _STRING, "embeddings_file": _STRING})
 
 
-def _json_pointer(error: jsonschema.exceptions.ValidationError) -> str:
-    return "/" + "/".join(str(part) for part in error.absolute_path)
+def _scalar_error(value, rule: _Rule) -> str | None:
+    kind, minimum, exclusive_minimum, maximum = rule
+    if kind == "string":
+        return None if isinstance(value, str) else f"{value!r} is not of type 'string'"
+    if type(value) not in _NUMBER_TYPES or (
+        kind == "integer" and type(value) is float and not value.is_integer()
+    ):
+        return f"{value!r} is not of type {kind!r}"
+    # NaN fails none of these comparisons, as in the schema; the entities reject it
+    if minimum is not None and value < minimum:
+        return f"{value!r} is less than the minimum of {minimum!r}"
+    if exclusive_minimum is not None and value <= exclusive_minimum:
+        return f"{value!r} is less than or equal to the minimum of {exclusive_minimum!r}"
+    if maximum is not None and value > maximum:
+        return f"{value!r} is greater than the maximum of {maximum!r}"
+    return None
+
+
+def _check_array(items, kind: _Kind, path: tuple, errors: list) -> None:
+    if not isinstance(items, list):
+        errors.append((path, f"{items!r} is not of type 'array'"))
+    elif not items:
+        errors.append((path, f"{items!r} should be non-empty"))
+    else:
+        for index, record in enumerate(items):
+            _check_record(record, kind, (*path, index), errors)
+
+
+def _check_record(record, kind: _Kind, path: tuple, errors: list) -> bool:
+    """Append the record's errors, in the schema's keyword order; False if it is no object."""
+    if not isinstance(record, dict):
+        errors.append((path, f"{record!r} is not of type 'object'"))
+        return False
+    keys = record.keys()
+    if not keys >= kind.required:
+        missing = [key for key in kind.fields if key in kind.required and key not in record]
+        errors.extend((path, f"{key!r} is a required property") for key in missing)
+    if not keys <= kind.fields.keys():
+        extras = sorted(keys - kind.fields.keys())
+        listed, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+        errors.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+    for key, value in record.items():
+        rule = kind.fields.get(key)
+        if rule is None:
+            continue
+        if isinstance(rule, _Kind):
+            _check_array(value, rule, (*path, key), errors)
+        else:
+            message = _scalar_error(value, rule)
+            if message is not None:
+                errors.append(((*path, key), message))
+    return True
+
+
+def _check_tensor(tensor, path: tuple, errors: list) -> None:
+    """Arrays of arrays of arrays of numbers; their lengths are the loader's concern."""
+    if not isinstance(tensor, list):
+        errors.append((path, f"{tensor!r} is not of type 'array'"))
+        return
+    for w, rows in enumerate(tensor):
+        if not isinstance(rows, list):
+            errors.append(((*path, w), f"{rows!r} is not of type 'array'"))
+            continue
+        for e, row in enumerate(rows):
+            if not isinstance(row, list):
+                errors.append(((*path, w, e), f"{row!r} is not of type 'array'"))
+            elif not _NUMBER_TYPES.issuperset(map(type, row)):
+                errors.extend(
+                    ((*path, w, e, s), f"{value!r} is not of type 'number'")
+                    for s, value in enumerate(row)
+                    if type(value) not in _NUMBER_TYPES
+                )
+
+
+def _check_similarity(source, errors: list) -> None:
+    """Exactly one source must match; on failure, descend as ``best_match`` does.
+
+    best_match looks through the failure's errors from both sources.  It takes
+    the deepest, then the least path, unless two of them tie, in which case
+    the failure at ``/similarity`` is itself the error.
+    """
+    from_tensor: list = []
+    if _check_record(source, _TENSOR_SOURCE, (), from_tensor) and "tensor" in source:
+        _check_tensor(source["tensor"], ("tensor",), from_tensor)
+    if not from_tensor:
+        return
+    from_files: list = []
+    _check_record(source, _FILE_SOURCE, (), from_files)
+    if not from_files:
+        return
+    first, second = heapq.nsmallest(2, from_tensor + from_files, key=lambda err: (-len(err[0]), err[0]))
+    if first[0] == second[0]:
+        errors.append((("similarity",), f"{source!r} is not valid under any of the given schemas"))
+    else:
+        errors.append((("similarity", *first[0]), first[1]))
+
+
+def _rank(error) -> tuple:
+    """best_match's order: the shallower path, then the greater among siblings.
+
+    An error below ``/similarity`` stands for the failed choice of source at
+    ``/similarity`` and ranks at that depth.
+    """
+    path = error[0]
+    if path[:1] == ("similarity",):
+        path = path[:1]
+    return -len(path), path
+
+
+def _document_error(document) -> str | None:
+    """``{json pointer}: {message}`` of the error best_match picks, or None."""
+    errors: list = []
+    if _check_record(document, _PROBLEM, (), errors) and "similarity" in document:
+        _check_similarity(document["similarity"], errors)
+    if not errors:
+        return None
+    path, message = max(errors, key=_rank)  # the first of equals, as the schema yields them
+    return "/" + "/".join(str(part) for part in path) + f": {message}"
+
+
+def _tensor_array(tensor: list) -> np.ndarray:
+    """The checked nested lists as one float64 array; a ragged tensor is a validation failure."""
+    for axis, lengths in (
+        ("device", {len(rows) for rows in tensor}),
+        ("scenario", {len(row) for rows in tensor for row in rows}),
+    ):
+        if len(lengths) > 1:
+            raise ValidationFailure(
+                [f"similarity tensor is ragged along the {axis} axis: rows of {sorted(lengths)} entries"]
+            )
+    return np.asarray(tensor, dtype=np.float64)
 
 
 def load_problem(path: str | Path) -> ProblemInstance:
@@ -152,11 +250,9 @@ def load_problem(path: str | Path) -> ProblemInstance:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
-    validator = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise SchemaError(f"{path}: {_json_pointer(best)}: {best.message}")
+    error = _document_error(document)
+    if error is not None:
+        raise SchemaError(f"{path}: {error}")
 
     try:
         devices = tuple(
@@ -193,7 +289,7 @@ def load_problem(path: str | Path) -> ProblemInstance:
 
     source = document["similarity"]
     if "tensor" in source:
-        tensor = np.array(source["tensor"], dtype=np.float64)
+        tensor = _tensor_array(source["tensor"])
     else:
         # the tensor is sized and filled from the scenarios' demand lists
         mismatched = demand_count_violations(scenarios, len(vsps))

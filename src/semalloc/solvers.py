@@ -124,14 +124,13 @@ def bundle_upper_bound(w: int, e: int, instance: ProblemInstance) -> int:
     dropped without losing feasibility or raising cost.  Zero when the device
     never matches the interest or demand is zero everywhere.
     """
-    column = instance.similarity[w, e, :]
-    positive = column[column > 0.0]
-    if positive.size == 0:
+    least = float(instance.least_positive_similarity[w, e])
+    if least == math.inf:
         return 0
     max_requirement = float(instance.requirements[w].max())
     if max_requirement <= 0.0:
         return 0
-    per_bundle = instance.devices[e].bundle_size * float(positive.min())
+    per_bundle = instance.devices[e].bundle_size * least
     return int(math.ceil(max_requirement / per_bundle))
 
 
@@ -493,6 +492,10 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
     probabilities = [scen.probability for scen in instance.scenarios]
     snapped = snapped_requirements(instance)
     sizes = np.array(bundle_sizes, dtype=np.float64)
+    # accumulated left to right over the scenarios; the exploration order sorts on these exact sums
+    expected_sim = np.zeros((instance.num_vsps, num_devices))
+    for i, p in enumerate(probabilities):
+        expected_sim = expected_sim + p * instance.similarity[:, :, i]
 
     def solve_vsp(w: int) -> _SearchOutcome:
         needs = snapped[w].tolist()
@@ -502,11 +505,7 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
             ubs = [int(config.bundle_cap_override[w, e]) for e in range(num_devices)]
         else:
             ubs = [bundle_upper_bound(w, e, instance) for e in range(num_devices)]
-        expected_sim = [
-            sum(p * float(instance.similarity[w, e, i]) for i, p in enumerate(probabilities))
-            for e in range(num_devices)
-        ]
-        order = _exploration_order(bundle_costs, bundle_sizes, expected_sim)
+        order = _exploration_order(bundle_costs, bundle_sizes, expected_sim[w].tolist())
         rows = (sizes[:, None] * instance.similarity[w]).tolist()
         return _dfs_bundle_search(
             order,

@@ -20,6 +20,7 @@ from semalloc import (
     validate_instance,
     with_probabilities,
 )
+from _support import make_random_instance
 
 
 def make_device(**overrides) -> EdgeDevice:
@@ -201,6 +202,24 @@ class TestValidation:
             VspDemand("k", -1, 1.0)
         with pytest.raises(ValueError):
             VspDemand("k", 1, 1.5)
+
+
+class TestLeastPositiveSimilarity:
+    def test_matches_the_masked_column_minimum_and_is_read_only(self):
+        rng = np.random.default_rng(5)
+        columns_without_positive = 0
+        for _ in range(30):
+            inst = make_random_instance(rng, max_vsps=3, max_devices=4, max_scenarios=3)
+            for w in range(inst.num_vsps):
+                for e in range(inst.num_devices):
+                    column = inst.similarity[w, e]
+                    positive = column[column > 0.0]
+                    expected = positive.min() if positive.size else math.inf
+                    columns_without_positive += not positive.size
+                    assert inst.least_positive_similarity[w, e] == expected
+        assert columns_without_positive > 0
+        with pytest.raises(ValueError):
+            inst.least_positive_similarity[0, 0] = 1.0
 
 
 class TestRequirementMatrix:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,41 @@ class TestLoadProblem:
         path = write_doc(tmp_path, minimal_doc(similarity={"tensor": [[[0.5], [0.5]]]}))
         with pytest.raises(ValidationFailure, match="shape"):
             load_problem(path)
+
+
+class TestRaggedTensor:
+    """The schema accepts ragged arrays; the loader rejects them by axis."""
+
+    @staticmethod
+    def singapore_with(tmp_path, change):
+        doc = json.loads(sm.data_file("singapore_demo.json").read_text())
+        change(doc["similarity"]["tensor"])
+        return write_doc(tmp_path, doc)
+
+    def test_ragged_device_axis(self, tmp_path):
+        path = self.singapore_with(tmp_path, lambda tensor: tensor[1].pop())
+        with pytest.raises(ValidationFailure, match="similarity tensor is ragged along the device axis"):
+            load_problem(path)
+
+    def test_ragged_scenario_axis(self, tmp_path):
+        path = self.singapore_with(tmp_path, lambda tensor: tensor[0][2].pop())
+        with pytest.raises(ValidationFailure, match="similarity tensor is ragged along the scenario axis"):
+            load_problem(path)
+
+    def test_empty_vsp_row(self, tmp_path):
+        path = self.singapore_with(tmp_path, lambda tensor: tensor[1].clear())
+        with pytest.raises(ValidationFailure, match="similarity tensor is ragged along the device axis"):
+            load_problem(path)
+
+
+def test_import_leaves_jsonschema_unloaded():
+    src = str(Path(sm.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import semalloc, semalloc.cli; "
+        "print(sorted({'jsonschema', 'referencing'} & {name.split('.')[0] for name in sys.modules}))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestSolutionRoundTrip:
