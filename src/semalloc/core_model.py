@@ -173,6 +173,13 @@ class ProblemInstance:
         return matrix
 
     @cached_property
+    def max_requirement(self) -> np.ndarray:
+        """Read-only ``(vsp,)`` largest requirement over the scenarios."""
+        vector = self.requirements.max(axis=1)
+        vector.setflags(write=False)
+        return vector
+
+    @cached_property
     def least_positive_similarity(self) -> np.ndarray:
         """Read-only ``(vsp, device)`` minimum of the positive similarities; inf where none is positive."""
         sim = self.similarity

@@ -22,9 +22,10 @@ keys beyond those listed:
 Types are those of JSON Schema draft 2020-12: ``true`` is no number, ``1.0``
 is an integer, and NaN passes every bound (the entities reject it later).
 The check accepts exactly what the package's former draft 2020-12 schema
-accepted, and a :class:`SchemaError` reads ``{file}: {json pointer}:
-{message}`` for the error ``jsonschema.exceptions.best_match`` picked.  A
-ragged tensor passes the check and is rejected as a :class:`ValidationFailure`.
+accepted, except integers beyond the range of a float, and a
+:class:`SchemaError` reads ``{file}: {json pointer}: {message}`` for the
+error ``jsonschema.exceptions.best_match`` picked.  A ragged tensor passes the
+check and is rejected as a :class:`ValidationFailure`.
 Paths inside a document resolve relative to the document itself.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -59,6 +61,7 @@ from .similarity import FileEmbeddings, build_similarity_tensor, load_corpora_cs
 # takes exactly the listed keys, and all but the optional ones are required.
 
 _NUMBER_TYPES = frozenset({int, float})  # exactly; bool is no number
+_FLOAT_MAX = sys.float_info.max  # a JSON integer beyond it has no float value
 
 
 class _Rule(NamedTuple):
@@ -114,6 +117,8 @@ def _scalar_error(value, rule: _Rule) -> str | None:
         kind == "integer" and type(value) is float and not value.is_integer()
     ):
         return f"{value!r} is not of type {kind!r}"
+    if type(value) is int and abs(value) > _FLOAT_MAX:
+        return _too_large(value)
     # NaN fails none of these comparisons, as in the schema; the entities reject it
     if minimum is not None and value < minimum:
         return f"{value!r} is less than the minimum of {minimum!r}"
@@ -122,6 +127,10 @@ def _scalar_error(value, rule: _Rule) -> str | None:
     if maximum is not None and value > maximum:
         return f"{value!r} is greater than the maximum of {maximum!r}"
     return None
+
+
+def _too_large(value: int) -> str:
+    return f"{value!r} is beyond the range of a float"
 
 
 def _check_array(items, kind: _Kind, path: tuple, errors: list) -> None:
@@ -177,6 +186,12 @@ def _check_tensor(tensor, path: tuple, errors: list) -> None:
                     ((*path, w, e, s), f"{value!r} is not of type 'number'")
                     for s, value in enumerate(row)
                     if type(value) not in _NUMBER_TYPES
+                )
+            elif int in map(type, row):
+                errors.extend(
+                    ((*path, w, e, s), _too_large(value))
+                    for s, value in enumerate(row)
+                    if type(value) is int and abs(value) > _FLOAT_MAX
                 )
 
 
@@ -247,7 +262,7 @@ def load_problem(path: str | Path) -> ProblemInstance:
             document = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read problem file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's digit limit
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
     error = _document_error(document)

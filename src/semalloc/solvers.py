@@ -9,8 +9,9 @@ per unit, scaled down so that no device left to branch on covers a unit for
 less than its bundle price).  The bound is admissible: recourse buys the gap
 rounded up, memberships cost at least nothing, and by weak duality the priced
 gap never exceeds what the subtree still pays.  The bound is convex and
-piecewise linear in the next device's count, so each node visits only the
-interval of counts that can still win, or tie, the incumbent.  DIP uses the
+piecewise linear in the next device's count, so each node visits its children
+least bound first, outward from the bound's minimiser, and stops at the first
+child that can no longer win, or tie, the incumbent.  DIP uses the
 same search with an uncapped price, which prunes every subtree that can no
 longer cover its gap.  Among equal-cost optima the lexicographically smallest
 bundle vector by device index is returned, which keeps results reproducible
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def bundle_upper_bound(w: int, e: int, instance: ProblemInstance) -> int:
     least = float(instance.least_positive_similarity[w, e])
     if least == math.inf:
         return 0
-    max_requirement = float(instance.requirements[w].max())
+    max_requirement = float(instance.max_requirement[w])
     if max_requirement <= 0.0:
         return 0
     per_bundle = instance.devices[e].bundle_size * least
@@ -164,7 +165,7 @@ def _suffix_scales(
     """
     scales = [cap]
     for device in reversed(order):
-        weighted = sum(w * a for w, a in zip(weights, coverage_rows[device]))
+        weighted = sum([w * a for w, a in zip(weights, coverage_rows[device])])
         scales.append(min(scales[-1], bundle_costs[device] / weighted) if weighted > 0.0 else scales[-1])
     return scales[::-1]
 
@@ -176,10 +177,6 @@ def _weighted_gap(needs: Sequence[float], covered: Sequence[float], weights: Seq
 
 def _ceil_down(x: float) -> int:
     return math.ceil(x - 1e-9 * max(1.0, x))
-
-
-def _floor_up(x: float) -> int:
-    return math.floor(x + 1e-9 * max(1.0, x))
 
 
 def _child_bounds(
@@ -225,58 +222,72 @@ def _child_bounds(
     return 1, base + scale * priced, slope, kinks
 
 
-def _count_interval(bounds, ceiling: float, upper: int) -> tuple[int, int]:
-    """Counts in ``1..upper`` whose child bound (:func:`_child_bounds`) is within ``ceiling``.
+def _counts_by_bound(zero: float, bounds, upper: int) -> Iterator[tuple[float, int]]:
+    """Count 0 and the counts ``first..upper``, each with its child bound, least bound first.
 
-    The bound is convex, so the passing counts form one interval ``(first,
-    last)``, empty when ``first > last``.  It is found by walking the kinks in
-    order, with no work per excluded count.  Both ends are widened by a
-    relative 1e-9, so rounding can add a count but never drop one.
+    Count 0 has the bound ``zero`` and a positive count the bound of
+    :func:`_child_bounds`.  That bound is convex, so two pointers walk outward
+    from its integer minimiser, the floor of the kink where the slope turns
+    non-negative, and each step takes the side whose next bound is smaller.
+    The bounds come out non-decreasing: a caller can stop at the first one
+    past its ceiling, and the one pending bounds every count not yet yielded.
+    Each pointer prices its count as ``value + a*k - b``, with ``a`` and ``b``
+    summed over the kinks below ``k``: O(1) amortised per count.  Counts with
+    an infinite bound are never yielded.
     """
-    first, value, slope, kinks = bounds
-    if value == math.inf:
-        return 1, 0
-    if ceiling == math.inf:
-        return first, upper
-    start = 0.0
-    low = None
+    first, value, a_lo, kinks = bounds
+    b_lo, below, num_kinks = 0.0, 0, len(kinks)
+    # pass the kinks up to the one where the slope turns non-negative, and all below ``first``
     for kink, rise in kinks:
-        # on [start, kink] the bound is value + slope * (k - start)
-        if low is None:
-            if value <= ceiling:
-                low = start
-            elif slope >= 0.0:
-                return 1, 0
-            elif start + (ceiling - value) / slope <= kink:
-                low = start + (ceiling - value) / slope
-        if low is not None and slope > 0.0:
-            high = start + (ceiling - value) / slope
-            if high <= kink:
-                return max(first, _ceil_down(low)), min(upper, _floor_up(high))
-        value += slope * (kink - start)
-        slope += rise
-        start = kink
-    # the last piece rises at the bundle price, which is not negative
-    if low is None:
-        if value > ceiling:
-            return 1, 0
-        low = start
-    if slope > 0.0:
-        return max(first, _ceil_down(low)), min(upper, _floor_up(start + (ceiling - value) / slope))
-    return max(first, _ceil_down(low)), upper
-
-
-def _least_bound(bounds, first: int, last: int) -> float:
-    """Lower bound on the child bound of :func:`_child_bounds` over counts ``first..last``.
-
-    The bound is convex, so its minimum over the real range lies at an end or
-    at a kink.
-    """
-    _, value, slope, kinks = bounds
-    points = [first, last] + [kink for kink, _ in kinks if first < kink < last]
-    return min(
-        value + slope * k + sum(rise * (k - kink) for kink, rise in kinks if kink < k) for k in points
-    )
+        if a_lo >= 0.0 and kink >= first:
+            break
+        a_lo += rise
+        b_lo += rise * kink
+        below += 1
+    minimiser = upper if a_lo < 0.0 else kinks[below - 1][0] if below else 0
+    lo = int(minimiser) if minimiser < upper else upper  # its floor: kinks are positive
+    if lo < first:
+        lo = first
+    if lo > upper:
+        lo = upper
+    # each pointer sums the kinks strictly below its count
+    hi, a_hi, b_hi, above = lo + 1, a_lo, b_lo, below
+    while above < num_kinks and kinks[above][0] < hi:
+        kink, rise = kinks[above]
+        a_hi += rise
+        b_hi += rise * kink
+        above += 1
+    while below and kinks[below - 1][0] >= lo:
+        below -= 1
+        kink, rise = kinks[below]
+        a_lo -= rise
+        b_lo -= rise * kink
+    low = value + a_lo * lo - b_lo if lo >= first else math.inf
+    high = value + a_hi * hi - b_hi if hi <= upper else math.inf
+    while True:
+        if zero <= low and zero <= high:
+            if zero == math.inf:
+                return
+            yield zero, 0
+            zero = math.inf
+        elif low <= high:
+            yield low, lo
+            lo -= 1
+            while below and kinks[below - 1][0] >= lo:
+                below -= 1
+                kink, rise = kinks[below]
+                a_lo -= rise
+                b_lo -= rise * kink
+            low = value + a_lo * lo - b_lo if lo >= first else math.inf
+        else:
+            yield high, hi
+            hi += 1
+            while above < num_kinks and kinks[above][0] < hi:
+                kink, rise = kinks[above]
+                a_hi += rise
+                b_hi += rise * kink
+                above += 1
+            high = value + a_hi * hi - b_hi if hi <= upper else math.inf
 
 
 def _dfs_bundle_search(
@@ -300,15 +311,17 @@ def _dfs_bundle_search(
     probabilities and ``cap`` the recourse unit price, or ``[1]`` and infinity
     for a program without recourse).  It is admissible: recourse rounds its gap
     up, memberships cost at least nothing, and weak duality bounds the rest.
-    Each node visits count 0 and then the interval of counts whose child bound
-    is within the tie window of the incumbent (:func:`_count_interval`),
-    recomputed whenever the incumbent improves; counts outside it are never
-    iterated, and tied subtrees stay in.  A visited node is one unit of
+    Each node visits its children in order of their bound (:func:`_counts_by_bound`),
+    so good incumbents come early, and stops at the first child past the tie
+    window of the incumbent: every later child is no better, and tied subtrees
+    stay in.  Count 0 is visited before the other counts are priced when its
+    bound is under their stage-1 floor.  A visited node is one unit of
     ``node_limit``.  ``leaf_cost`` maps a complete vector's coverage to the rest
     of the objective, or None when the leaf is infeasible.  Of the leaves within
-    the tie window of the cheapest, the lexicographically smallest vector wins.
-    When the budget runs out, the least bound over the subtrees left unexplored
-    is collected while the recursion unwinds.
+    the tie window of the cheapest, the lexicographically smallest vector wins,
+    whatever the visiting order.  When the budget runs out, each node on the
+    way back up adds the bound of its next child pending, which bounds all its
+    children left unexplored.
     """
     num_devices = len(order)
     scales = _suffix_scales(order, bundle_costs, coverage_rows, weights, cap)
@@ -341,35 +354,31 @@ def _dfs_bundle_search(
             return
         device = order[depth]
         zero = (stage1 + scales[depth + 1] * gap) if gap > 0.0 else stage1
-        if zero <= ceiling and zero < math.inf:
-            recurse(depth + 1, stage1, covered, gap)
         membership = membership_costs[device]
         step = bundle_costs[device]
         upper = upper_bounds[device]
-        if stage1 + membership + step > ceiling:
-            return  # every count costs more than the incumbent in stage 1 alone
+        least = stage1 + membership + step if upper else math.inf  # under every positive count's bound
+        if zero <= least:  # count 0 comes first: visit it before pricing the others
+            if zero <= ceiling and zero < math.inf:
+                recurse(depth + 1, stage1, covered, gap)
+            zero = math.inf
+        if not upper or least > ceiling:
+            return  # no positive count, or each costs more than the incumbent in stage 1 alone
         row = coverage_rows[device]
         bounds = _child_bounds(stage1 + membership, step, needs, covered, row, weights, scales[depth + 1])
-        if exceeded:
-            if upper:
-                frontier = min(frontier, _least_bound(bounds, 1, upper))
-            return
-        limit = ceiling
-        count, last = _count_interval(bounds, limit, upper)
-        while count <= last:
-            vec[device] = count
-            grown = [c + count * r for c, r in zip(covered, row)]
-            recurse(depth + 1, stage1 + (membership + count * step), grown, _weighted_gap(needs, grown, weights))
-            vec[device] = 0
-            if exceeded:
-                if count < upper:
-                    frontier = min(frontier, _least_bound(bounds, count + 1, upper))
+        for bound, count in _counts_by_bound(zero, bounds, upper):
+            if exceeded:  # the budget ran out below this node; the pending bound covers the rest
+                frontier = min(frontier, bound)
                 return
-            count += 1
-            if ceiling < limit:
-                limit = ceiling
-                first, last = _count_interval(bounds, limit, upper)
-                count = max(count, first)
+            if bound > ceiling:
+                return
+            if count:
+                vec[device] = count
+                grown = [c + count * r for c, r in zip(covered, row)]
+                recurse(depth + 1, stage1 + (membership + count * step), grown, _weighted_gap(needs, grown, weights))
+                vec[device] = 0
+            else:
+                recurse(depth + 1, stage1, covered, gap)
 
     empty = [0.0] * len(needs)
     recurse(0, 0.0, empty, _weighted_gap(needs, empty, weights))

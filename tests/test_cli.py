@@ -129,6 +129,18 @@ class TestSolveCommand:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigurationError"
 
+    def test_json_errors_for_an_integer_beyond_float_range(self, runner, tmp_path):
+        doc = json.loads(sm.data_file("singapore_demo.json").read_text())
+        doc["devices"][1]["uplink_rate"] = 10**400
+        problem = tmp_path / "huge.json"
+        problem.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["--json-errors", "solve", "--problem", str(problem)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr)
+        assert payload["type"] == "SchemaError"
+        assert f"{problem}: /devices/1/uplink_rate: 1000" in payload["error"]
+        assert payload["error"].endswith(" is beyond the range of a float")
+
 
 class TestThreadsVariable:
     @pytest.mark.parametrize("value", ["0", "-1", "abc"])

@@ -231,6 +231,12 @@ class TestRequirementMatrix:
         with pytest.raises(ValueError):
             inst.requirements[0, 0] = 1.0
 
+    def test_max_requirement_is_the_row_maximum_and_read_only(self):
+        inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))
+        assert inst.max_requirement.tolist() == [max(row) for row in inst.requirements.tolist()]
+        with pytest.raises(ValueError):
+            inst.max_requirement[0] = 1.0
+
     def test_ragged_demand_lists_still_reach_validation(self):
         inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))
         ragged = ProblemInstance(

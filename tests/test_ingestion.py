@@ -129,6 +129,24 @@ class TestLoadProblem:
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_problem(path)
 
+    def test_integer_beyond_float_range_in_a_device_field(self, tmp_path):
+        doc = minimal_doc()
+        doc["devices"][0]["uplink_rate"] = 10**400
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(SchemaError, match="/devices/0/uplink_rate: 1000.* is beyond the range of a float"):
+            load_problem(path)
+
+    def test_integer_beyond_float_range_in_a_tensor_leaf(self, tmp_path):
+        path = write_doc(tmp_path, minimal_doc(similarity={"tensor": [[[0, -(10**400)]]]}))
+        with pytest.raises(SchemaError, match="/similarity/tensor/0/0/1: -1000.* is beyond the range of a float"):
+            load_problem(path)
+
+    def test_integer_past_the_digit_limit_is_not_json(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(minimal_doc()).replace('"quantity": 5', '"quantity": ' + "9" * 5000))
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_problem(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_problem(tmp_path / "absent.json")

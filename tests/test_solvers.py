@@ -30,7 +30,7 @@ from _support import (
 )
 from semalloc.core_model import reservation_bundle_cost
 from semalloc.recourse import shortfalls, snapped_requirements
-from semalloc.solvers import TIE_REL, _child_bounds, _count_interval, _suffix_scales, _weighted_gap
+from semalloc.solvers import TIE_REL, _child_bounds, _counts_by_bound, _suffix_scales, _weighted_gap
 from test_recourse import build_instance, device_with_unit_cost, repro_instance
 
 
@@ -655,11 +655,60 @@ class TestRecourseBound:
         e, scale = order[depth], scales[depth + 1]
         zero = stage1 + scale * _weighted_gap(needs, covered, probabilities)
         bounds = _child_bounds(stage1 + memberships[e], bundle_costs[e], needs, covered, rows[e], probabilities, scale)
-        first, last = _count_interval(bounds, ceiling, ubs[e])
-        excluded = ([] if zero <= ceiling else [0]) + [k for k in range(1, ubs[e] + 1) if not first <= k <= last]
+        children = _counts_by_bound(zero, bounds, ubs[e])  # the DFS stops at the first bound past the ceiling
+        visited = {count for _, count in itertools.takewhile(lambda child: child[0] <= ceiling, children)}
+        excluded = [k for k in range(ubs[e] + 1) if k not in visited]
         for count in excluded:
             completions = costs[subtree & (plans[:, e] == count)]
             assert completions.min() > ceiling, (count, completions.min(), ceiling)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), recourse=st.booleans(), data=st.data())
+    def test_children_come_least_bound_first(self, seed, recourse, data):
+        # with recourse priced (SIP) or a gap that must close (DIP); no incumbent stops the walk
+        inst = make_decimal_instance(np.random.default_rng(seed))
+        devices = inst.devices
+        order = data.draw(st.permutations(range(inst.num_devices)), label="order")
+        bundle_costs = [reservation_bundle_cost(dev) for dev in devices]
+        rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
+        probabilities = list(inst.probabilities)
+        cap = min(on_demand_unit_cost(dev) for dev in devices) if recourse else math.inf
+        scales = _suffix_scales(order, bundle_costs, rows, probabilities, cap)
+        needs = snapped_requirements(inst)[0].tolist()
+        depth = data.draw(st.integers(0, inst.num_devices - 1), label="depth")
+        stage1, covered = 0.0, [0.0] * inst.num_scenarios
+        for e in order[:depth]:
+            count = data.draw(st.integers(0, 3 * bundle_upper_bound(0, e, inst) + 1), label=f"count of device {e}")
+            if count:
+                stage1 = stage1 + (devices[e].membership_cost + count * bundle_costs[e])
+                covered = [c + count * r for c, r in zip(covered, rows[e])]
+        e, scale = order[depth], scales[depth + 1]
+        upper = data.draw(st.integers(0, 3 * bundle_upper_bound(0, e, inst) + 3), label="upper")
+        gap = _weighted_gap(needs, covered, probabilities)
+        zero = stage1 + scale * gap if gap > 0.0 else stage1
+        base = stage1 + devices[e].membership_cost
+        bounds = _child_bounds(base, bundle_costs[e], needs, covered, rows[e], probabilities, scale)
+
+        def child_bound(k):
+            if k == 0:
+                return zero
+            if scale == math.inf:  # k must close every gap, up to a relative 1e-9 of the count
+                closes = [
+                    r > 0.0 and k >= (x := (need - cov) / r) - 1e-9 * max(1.0, x)
+                    for need, cov, r in zip(needs, covered, rows[e])
+                    if need > cov
+                ]
+                return base + k * bundle_costs[e] if all(closes) else math.inf
+            left = [need - cov - k * r for need, cov, r in zip(needs, covered, rows[e])]
+            return base + k * bundle_costs[e] + scale * sum(w * g for w, g in zip(probabilities, left) if g > 0.0)
+
+        children = list(_counts_by_bound(zero, bounds, upper))
+        counts = [count for _, count in children]
+        assert sorted(counts) == [k for k in range(upper + 1) if child_bound(k) < math.inf]
+        for bound, count in children:
+            assert bound == (zero if count == 0 else pytest.approx(child_bound(count), rel=1e-12, abs=1e-12))
+        for (before, _), (after, _) in zip(children, children[1:]):
+            assert after >= before - 1e-12 * max(1.0, abs(before))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
@@ -734,3 +783,82 @@ class TestScalingWall:
                     continue
                 total = evaluate_total(ReservationPlan.from_bundles(neighbour), inst).cost.total
                 assert total >= solution.cost.total * (1 - 1e-12), (e, delta)
+
+    def test_every_hard_instance_solves_within_two_thousand_nodes(self):
+        for seed in range(40):
+            solve_sip(hard_instance(seed), SolverConfig(node_limit=2_000))
+
+
+def _every_cut(solve):
+    """``solve(SolverConfig(node_limit=n))`` for n = 1, 2, ... until it completes.
+
+    Returns the completed solution and the :class:`NodeLimitError` of every
+    smaller budget.
+    """
+    cuts = []
+    for limit in itertools.count(1):
+        try:
+            return solve(SolverConfig(node_limit=limit)), cuts
+        except NodeLimitError as err:
+            cuts.append(err)
+
+
+def _assert_admissible(err: NodeLimitError, optimum: float) -> None:
+    total = err.partial.cost.total
+    if err.gap == math.inf:  # a DIP search cut before any plan covered its VSP
+        assert err.lower_bound <= optimum + 1e-12
+        return
+    assert err.lower_bound <= optimum + 1e-12 and optimum <= total + 1e-12
+    assert err.gap == ((total - err.lower_bound) / total if total > 0 else 0.0)
+
+
+class TestFrontierBound:
+    """A search cut at any node budget reports a lower bound under the optimum."""
+
+    @pytest.mark.parametrize("decimal", [False, True], ids=["dyadic", "decimal"])
+    def test_sip_bound_is_admissible_at_every_cut(self, decimal):
+        rng = np.random.default_rng(41)
+        cut = 0
+        for _ in range(30):
+            if decimal:
+                inst = make_decimal_instance(rng)
+                optimum = min(
+                    evaluate_total(ReservationPlan.from_bundles(plan), inst).cost.total for plan in _lattice(inst)
+                )
+            else:
+                inst = make_random_instance(rng)
+                optimum = enumerate_sip_minimum(inst)
+            solution, cuts = _every_cut(lambda config: solve_sip(inst, config))
+            assert solution.cost.total == pytest.approx(optimum, rel=1e-12, abs=1e-15)
+            for err in cuts:
+                _assert_admissible(err, optimum)
+            cut += len(cuts)
+        assert cut >= 50
+
+    @pytest.mark.parametrize("decimal", [False, True], ids=["dyadic", "decimal"])
+    def test_dip_bound_is_admissible_at_every_cut(self, decimal):
+        rng = np.random.default_rng(43)
+        cut = 0
+        for _ in range(30):
+            if decimal:
+                inst = make_decimal_instance(rng, max_scenarios=1)
+                covering = [
+                    evaluate_total(ReservationPlan.from_bundles(plan), inst).cost.total
+                    for plan in _lattice(inst)
+                    if not shortfalls(plan, inst).any()
+                ]
+                if not covering:
+                    continue
+                optimum = min(covering)
+            else:
+                inst = make_random_instance(rng, max_scenarios=1)
+                if any(inst.requirement(w, 0) > 0 and not inst.similarity[w, :, 0].any() for w in range(inst.num_vsps)):
+                    continue
+                optimum = _enumerate_dip_minimum(dip_from_instance(inst))
+            dip = dip_from_instance(inst)
+            solution, cuts = _every_cut(lambda config: solve_dip(dip, config))
+            assert solution.cost.total == pytest.approx(optimum, rel=1e-12, abs=1e-15)
+            for err in cuts:
+                _assert_admissible(err, optimum)
+            cut += len(cuts)
+        assert cut >= 50
