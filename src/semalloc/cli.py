@@ -5,7 +5,8 @@ costs, totals) so any plotting tool reproduces the standard cost-structure,
 probability-sweep, and scheme-comparison figures directly.  All outputs are
 byte-deterministic for fixed inputs and seeds; SEMALLOC_THREADS is validated
 when a command starts, but every command runs sequentially, so its value
-never changes a byte.
+never changes a byte.  A CSV goes out through one ``csv.writer`` call for
+all its rows, floats written with their shortest round-trip ``repr``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import click
+import numpy as np
 
 from ._parallel import parallel_map, thread_count
 from .baselines import RandomSchemeConfig, random_summary_dict, solve_evf, solve_random
@@ -60,22 +62,17 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _write_csv(out: Path | None, header: list[str], rows: list[list]) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        return
-    with open(out, "w", encoding="utf-8", newline="") as handle:
+    """Header and rows to ``out``, or to stdout when None.
+
+    ``csv.writer`` writes floats with ``repr`` and other values with ``str``;
+    rows hold no None, which it would write as an empty field.
+    """
+    target = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
+    with target as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +180,10 @@ def energy_report_rows(instance: ProblemInstance) -> tuple[list[list], float]:
 
 
 def similarity_rows(instance: ProblemInstance) -> list[list]:
-    rows = []
-    for w in range(instance.num_vsps):
-        for e in range(instance.num_devices):
-            for i in range(instance.num_scenarios):
-                rows.append([w, e, i, float(instance.similarity[w, e, i])])
-    return rows
+    """One ``[w, e, i, similarity]`` row per tensor entry, in (w, e, i) order."""
+    tensor = instance.similarity
+    indices = np.indices(tensor.shape).reshape(3, -1).tolist()
+    return list(map(list, zip(*indices, tensor.ravel().tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .core_model import (
 )
 from .errors import ConfigurationError, SchemaError, ValidationFailure
 from .recourse import RecourseDecision, ReservationPlan, Solution
-from .similarity import FileEmbeddings, build_similarity_tensor, load_corpora_csv
+from .similarity import FileEmbeddings, _read_corpus_columns, build_similarity_tensor
 
 # ---------------------------------------------------------------------------
 # document check
@@ -315,7 +315,7 @@ def load_problem(path: str | Path) -> ProblemInstance:
         for ref in (corpus_path, embeddings_path):
             if not ref.exists():
                 raise ConfigurationError(f"{path}: referenced file does not exist: {ref}")
-        corpora = load_corpora_csv(corpus_path)
+        corpora = _read_corpus_columns(corpus_path)
         ids, expected = set(corpora), set(range(len(devices)))
         if ids != expected:
             raise ConfigurationError(

@@ -14,6 +14,13 @@ count; one ``np.add.reduceat`` over the entry list does this for every device,
 so no (device, text) matrix is built.  Each scenario's rows are then scattered
 into ``(vsp, device, scenario)`` by interest key.  ``average_similarity`` runs
 the same kernel for one interest and one corpus.
+
+Files are read in bulk.  The corpus CSV becomes flat columns of device id,
+text and count, grouped by device with a stable sort, so each device's
+entries keep their file order and are summed in it.  An embeddings file whose
+vectors are all non-empty lists of ints and floats of one length becomes one
+matrix in one ``np.array`` call; any other file is checked text by text, so
+its error names the offending text.
 """
 
 from __future__ import annotations
@@ -22,9 +29,11 @@ import csv
 import hashlib
 import json
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,15 +81,18 @@ class FileEmbeddings(EmbeddingProvider):
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
         texts = list(vectors)
-        rows = [_embedding_row(text, vectors[text]) for text in texts]
-        if not rows:
-            raise ConfigurationError("embeddings file defines no vectors")
-        for text, row in zip(texts, rows):
-            if row.size != rows[0].size:
-                raise ConfigurationError(
-                    f"embedding for {text!r} has dimension {row.size}, expected {rows[0].size}"
-                )
-        matrix = np.array(rows)
+        values = [vectors[text] for text in texts]
+        matrix = _bulk_matrix(values)
+        if matrix is None:  # some vector is malformed: check them one by one to name it
+            rows = [_embedding_row(text, value) for text, value in zip(texts, values)]
+            if not rows:
+                raise ConfigurationError("embeddings file defines no vectors")
+            for text, row in zip(texts, rows):
+                if row.size != rows[0].size:
+                    raise ConfigurationError(
+                        f"embedding for {text!r} has dimension {row.size}, expected {rows[0].size}"
+                    )
+            matrix = np.array(rows)
         for bad, problem in (
             (~np.isfinite(matrix).all(axis=1), "contains non-finite values"),
             (~matrix.any(axis=1), "is the all-zero vector"),
@@ -106,6 +118,19 @@ class FileEmbeddings(EmbeddingProvider):
             raise ConfigurationError(f"no embedding for text {text!r}") from None
 
 
+def _bulk_matrix(values: list) -> np.ndarray | None:
+    """The vectors as one float matrix, or None unless every one is a non-empty
+    list of ints and floats and all have the same length."""
+    if not values or set(map(type, values)) != {list} or len(set(map(len, values))) != 1:
+        return None
+    if not values[0] or not set(map(type, chain.from_iterable(values))) <= {int, float}:
+        return None
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond float range
+        return None
+
+
 def _embedding_row(text: str, values) -> np.ndarray:
     """One file embedding as a float vector: a non-empty flat list of numbers."""
     try:
@@ -120,7 +145,12 @@ def _embedding_row(text: str, values) -> np.ndarray:
         numeric = raw.dtype.kind in "iuf"
     if not numeric:
         raise ConfigurationError(f"embedding for {text!r} must hold numbers only (no strings or booleans)")
-    return raw.astype(np.float64)
+    try:
+        return raw.astype(np.float64)
+    except OverflowError:
+        raise ConfigurationError(
+            f"embedding for {text!r} holds an integer beyond the range of a float"
+        ) from None
 
 
 class HashEmbedder(EmbeddingProvider):
@@ -200,37 +230,78 @@ def _unit_rows(vectors: Sequence[EmbeddingVector], shape: tuple[int, ...]) -> np
 
 def _embed_once(provider: EmbeddingProvider, texts) -> dict[str, EmbeddingVector]:
     """Embedding of each distinct text, in first-seen order, one call per text."""
-    vectors: dict[str, EmbeddingVector] = {}
-    for text in texts:
-        if text not in vectors:
-            vectors[text] = provider.embed(text)
-    return vectors
+    return {text: provider.embed(text) for text in dict.fromkeys(texts)}
+
+
+class _CorpusColumns(Mapping[int, CategoryCorpus]):
+    """Corpus entries as flat columns, grouped by ascending device id.
+
+    ``texts[starts[k]:starts[k + 1]]`` and the same slice of ``counts`` are
+    the entries of the k-th smallest device id, in their given order.  As a
+    mapping it reads like ``load_corpora_csv``'s dict, in first-seen device
+    order, building each ``CategoryCorpus`` on access.
+    """
+
+    def __init__(self, device_ids: list[int], texts: list[str], counts: list[int]):
+        order = sorted(range(len(device_ids)), key=device_ids.__getitem__)  # stable
+        self.texts = [texts[k] for k in order]
+        self.counts = [counts[k] for k in order]
+        sizes = Counter(device_ids)
+        ascending = sorted(sizes)
+        self.starts = list(accumulate((sizes[d] for d in ascending), initial=0))[:-1]
+        start = dict(zip(ascending, self.starts))
+        self._slices = {d: slice(start[d], start[d] + size) for d, size in sizes.items()}
+
+    @classmethod
+    def of(cls, corpora: Sequence[CategoryCorpus]) -> "_CorpusColumns":
+        """Columns of ``corpora``, the k-th under device id k."""
+        for corpus in corpora:
+            if not corpus.entries:
+                raise ValueError(f"device {corpus.device_id} has an empty corpus")
+        return cls(
+            [k for k, corpus in enumerate(corpora) for _ in corpus.entries],
+            [text for corpus in corpora for text, _ in corpus.entries],
+            [count for corpus in corpora for _, count in corpus.entries],
+        )
+
+    def __getitem__(self, device_id: int) -> CategoryCorpus:
+        rows = self._slices[device_id]
+        return CategoryCorpus(device_id, tuple(zip(self.texts[rows], self.counts[rows])))
+
+    def __contains__(self, device_id) -> bool:
+        return device_id in self._slices
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._slices)
+
+    def __len__(self) -> int:
+        return len(self._slices)
 
 
 def _mean_matches(
     interests: Sequence[EmbeddingVector],
-    corpora: Sequence[CategoryCorpus],
     vectors: Mapping[str, EmbeddingVector],
+    texts: Sequence[str],
+    counts: Sequence[int],
+    starts: Sequence[int],
 ) -> np.ndarray:
-    """Scores of shape (interests, corpora): count-weighted mean of clip(cosine, 0, 1).
+    """Scores of shape (interests, devices): count-weighted mean of clip(cosine, 0, 1).
 
-    ``vectors`` must hold the embedding of every corpus text.  Each corpus
-    sums ``count * score`` over its entries in order and divides by its total.
+    ``texts`` and ``counts`` are the corpus entries device by device; device
+    k's entries start at ``starts[k]``, and every device has at least one.
+    ``vectors`` must hold the embedding of every text; their order is the
+    column order of the one matmul.  Each device sums ``count * score`` over
+    its entries in order and divides by its total count.
     """
-    for corpus in corpora:
-        if not corpus.entries:
-            raise ValueError(f"device {corpus.device_id} has an empty corpus")
     if not interests:
-        return np.zeros((0, len(corpora)))
+        return np.zeros((0, len(starts)))
     shape = np.shape(interests[0])
     cosines = _unit_rows(interests, shape) @ _unit_rows(list(vectors.values()), shape).T
     column = {text: j for j, text in enumerate(vectors)}
-    text_of = [column[text] for corpus in corpora for text, _ in corpus.entries]
-    counts = np.array([count for corpus in corpora for _, count in corpus.entries], dtype=np.float64)
-    # reduceat needs strictly increasing offsets: every corpus is non-empty (checked above)
-    starts = np.cumsum([0, *(len(corpus.entries) for corpus in corpora)])[:-1]
-    totals = np.array([corpus.total for corpus in corpora], dtype=np.float64)
-    weighted = np.clip(cosines, 0.0, 1.0)[:, text_of] * counts
+    weights = np.array(counts, dtype=np.float64)
+    weighted = np.clip(cosines, 0.0, 1.0)[:, [column[text] for text in texts]] * weights
+    # totals summed as Python ints, so they are exact at any size before the one rounding
+    totals = np.add.reduceat(np.array(counts, dtype=object), starts).astype(np.float64)
     return np.add.reduceat(weighted, starts, axis=1) / totals
 
 
@@ -244,8 +315,9 @@ def average_similarity(
     Negative matches are clamped to 0 before averaging so the score stays in
     [0, 1]; an entry with count k contributes k identical terms to the mean.
     """
-    vectors = _embed_once(provider, (text for text, _ in corpus.entries))
-    return float(_mean_matches([interest], [corpus], vectors)[0, 0])
+    columns = _CorpusColumns.of([corpus])
+    vectors = _embed_once(provider, columns.texts)
+    return float(_mean_matches([interest], vectors, columns.texts, columns.counts, columns.starts)[0, 0])
 
 
 def build_similarity_tensor(
@@ -256,8 +328,9 @@ def build_similarity_tensor(
     """Assemble the (vsp, device, scenario) score tensor from corpora.
 
     Device ids must cover 0..E-1.  Each unique interest key and corpus text is
-    embedded once; one kernel call scores every (interest key, device) pair,
-    and each scenario's rows are scattered into the tensor by interest key.
+    embedded once, keys first and then texts in device order; one kernel call
+    scores every (interest key, device) pair, and each scenario's rows are
+    scattered into the tensor by interest key.
     """
     if not scenarios:
         raise ConfigurationError("scenario set must be non-empty")
@@ -265,12 +338,13 @@ def build_similarity_tensor(
     for e in range(num_devices):
         if e not in corpora:
             raise ConfigurationError(f"no category corpus for device {e}")
-    devices = [corpora[e] for e in range(num_devices)]
+    if not isinstance(corpora, _CorpusColumns):
+        corpora = _CorpusColumns.of([corpora[e] for e in range(num_devices)])
 
     keys = list(dict.fromkeys(demand.interest_key for scen in scenarios for demand in scen.per_vsp))
-    corpus_texts = (text for corpus in devices for text, _ in corpus.entries)
-    vectors = _embed_once(provider, [*keys, *corpus_texts])
-    scores = _mean_matches([vectors[key] for key in keys], devices, vectors)
+    vectors = _embed_once(provider, [*keys, *corpora.texts])
+    interests = [vectors[key] for key in keys]
+    scores = _mean_matches(interests, vectors, corpora.texts, corpora.counts, corpora.starts)
     row_of = {key: r for r, key in enumerate(keys)}
 
     tensor = np.zeros((len(scenarios[0].per_vsp), num_devices, len(scenarios)))
@@ -280,29 +354,60 @@ def build_similarity_tensor(
     return tensor
 
 
-def load_corpora_csv(path: str | Path) -> dict[int, CategoryCorpus]:
-    """Read corpora from a CSV with header ``device_id,category,count``."""
-    rows: dict[int, list[tuple[str, int]]] = {}
+def _csv_record(header: list[str], row: list[str]) -> dict:
+    """``row`` as ``csv.DictReader`` gives it: surplus fields under None, absent ones None."""
+    record = dict(zip(header, row))
+    if len(row) > len(header):
+        record[None] = row[len(header):]
+    for name in header[len(row):]:
+        record[name] = None
+    return record
+
+
+def _read_corpus_columns(path: str | Path) -> _CorpusColumns:
+    """The corpus CSV's entries as columns; errors name the file line a record ends on."""
+    device_ids: list[int] = []
+    texts: list[str] = []
+    counts: list[int] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"device_id", "category", "count"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or not {"device_id", "category", "count"}.issubset(header):
             raise ConfigurationError(
                 f"{path}: corpus CSV must have header device_id,category,count"
             )
-        for line, row in enumerate(reader, start=2):
+        # a repeated name reads its last column, as DictReader does
+        column = {name: j for j, name in enumerate(header)}
+        di, ti, ci = column["device_id"], column["category"], column["count"]
+        for row in reader:
+            if not row:  # a blank line
+                continue
             try:
-                device_id = int(row["device_id"])
-                count = int(row["count"])
-            except (TypeError, ValueError):
-                raise ConfigurationError(f"{path}:{line}: malformed corpus row {row}") from None
+                device_id, text, count = int(row[di]), row[ti], int(row[ci])
+            except (IndexError, ValueError):
+                record = _csv_record(header, row)
+                try:
+                    device_id, count = int(record["device_id"]), int(record["count"])
+                except (TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"{path}:{reader.line_num}: malformed corpus row {record}"
+                    ) from None
+                text = str(record["category"])  # a short row's missing category reads as None
             if count < 1:
                 raise ConfigurationError(
-                    f"{path}:{line}: corpus counts must be positive integers, got {count}"
-                    f" for {row['category']!r}"
+                    f"{path}:{reader.line_num}: corpus counts must be positive integers, got {count}"
+                    f" for {_csv_record(header, row)['category']!r}"
                 )
-            rows.setdefault(device_id, []).append((row["category"], count))
-    return {
-        device_id: CategoryCorpus(device_id, tuple(entries))
-        for device_id, entries in rows.items()
-    }
+            device_ids.append(device_id)
+            texts.append(text)
+            counts.append(count)
+    return _CorpusColumns(device_ids, texts, counts)
+
+
+def load_corpora_csv(path: str | Path) -> dict[int, CategoryCorpus]:
+    """Read corpora from a CSV with header ``device_id,category,count``.
+
+    The three columns may come in any order among others; blank lines are
+    skipped, and an error names the file line on which the bad record ends.
+    """
+    return dict(_read_corpus_columns(path))

@@ -35,7 +35,7 @@ from .core_model import (
     reservation_bundle_cost,
     validate_instance,
 )
-from .errors import InfeasibleError, NodeLimitError, ValidationFailure
+from .errors import ConfigurationError, InfeasibleError, NodeLimitError, ValidationFailure
 from .recourse import (
     RecourseDecision,
     ReservationPlan,
@@ -131,8 +131,21 @@ def bundle_upper_bound(w: int, e: int, instance: ProblemInstance) -> int:
     max_requirement = float(instance.max_requirement[w])
     if max_requirement <= 0.0:
         return 0
-    per_bundle = instance.devices[e].bundle_size * least
-    return int(math.ceil(max_requirement / per_bundle))
+    return _bundle_cap(w, e, max_requirement, instance.devices[e].bundle_size, least)
+
+
+def _bundle_cap(w: int, e: int, requirement: float, bundle_size: int, similarity: float) -> int:
+    """Bundles device e alone needs to cover ``requirement`` at ``similarity`` > 0.
+
+    A similarity so small (subnormal) that the count overflows to infinity
+    bounds nothing and is a :class:`ConfigurationError`.
+    """
+    count = requirement / (bundle_size * similarity)
+    if count == math.inf:
+        raise ConfigurationError(
+            f"VSP {w}, device {e}: similarity {similarity!r} is too small to bound its bundle count"
+        )
+    return int(math.ceil(count))
 
 
 @dataclass
@@ -437,7 +450,7 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
             ubs = [int(config.bundle_cap_override[w, e]) for e in range(num_devices)]
         else:
             ubs = [
-                int(math.ceil(requirement / (bundle_sizes[e] * similarity[e])))
+                _bundle_cap(w, e, requirement, bundle_sizes[e], float(similarity[e]))
                 if similarity[e] > 0.0
                 else 0
                 for e in range(num_devices)

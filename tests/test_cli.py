@@ -5,8 +5,18 @@ import pytest
 from click.testing import CliRunner
 
 import semalloc as sm
-from semalloc.cli import main, parse_grid
+from semalloc.cli import (
+    compare_rows,
+    energy_report_rows,
+    main,
+    parse_grid,
+    similarity_rows,
+    sweep_bundle_rows,
+    sweep_probability_rows,
+)
 from semalloc.errors import ConfigurationError
+
+from test_ingestion import minimal_doc
 
 
 @pytest.fixture
@@ -140,6 +150,18 @@ class TestSolveCommand:
         assert payload["type"] == "SchemaError"
         assert f"{problem}: /devices/1/uplink_rate: 1000" in payload["error"]
         assert payload["error"].endswith(" is beyond the range of a float")
+
+    @pytest.mark.parametrize("scheme", ["sip", "dip", "evf", "random"])
+    def test_json_errors_for_a_subnormal_similarity(self, runner, tmp_path, scheme):
+        problem = tmp_path / "subnormal.json"
+        problem.write_text(json.dumps(minimal_doc(similarity={"tensor": [[[1e-320]]]})))
+        args = ["--json-errors", "solve", "--problem", str(problem), "--scheme", scheme]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "VSP 0, device 0: similarity 1e-320 is too small to bound its bundle count",
+            "type": "ConfigurationError",
+        }
 
 
 class TestThreadsVariable:
@@ -415,3 +437,32 @@ class TestSimilarityCommand:
             "error": "scenario 1 lists 2 vsp demands, expected 1",
             "type": "ValidationFailure",
         }
+
+
+DEMOS = [
+    "cost_structure_demo.json",
+    "interest_switch_corpus.json",
+    "interest_switch_demo.json",
+    "singapore_demo.json",
+    "single_device_demo.json",
+    "zero_demand_demo.json",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_rows_hold_no_none(demo):
+    """``csv.writer`` would write None as an empty field."""
+    instance = sm.load_problem(sm.data_file(demo))
+    builders = [
+        lambda: similarity_rows(instance),
+        lambda: sweep_bundle_rows(instance, 0, 0, 6)[0],
+        lambda: compare_rows(instance, (1.0, 2.0), 3, 10),
+        lambda: energy_report_rows(instance)[0],
+        lambda: sweep_probability_rows(instance, (0.0, 0.5, 1.0)),
+    ]
+    for build in builders:
+        try:
+            rows = build()
+        except ConfigurationError:  # a command this demo does not support
+            continue
+        assert rows and not any(value is None for row in rows for value in row)

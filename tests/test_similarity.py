@@ -184,6 +184,12 @@ class TestProviders:
         with pytest.raises(ConfigurationError, match="'bad text'"):
             FileEmbeddings({"ok": [1.0, 0.0], "bad text": values})
 
+    @pytest.mark.parametrize("values", [[10**400, 1], [0.5, -(10**400)]])
+    def test_file_embeddings_reject_integers_beyond_float_range(self, values):
+        message = "embedding for 'huge' holds an integer beyond the range of a float"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            FileEmbeddings({"ok": [1.0, 0.0], "huge": values})
+
     def test_embeddings_file_with_booleans_rejected(self, tmp_path):
         path = tmp_path / "emb.json"
         path.write_text('{"a": [1, 0], "flags": [true, false]}')
@@ -281,6 +287,28 @@ class TestCorpusCsv:
         with pytest.raises(ConfigurationError, match=r"bad\.csv:2: .*positive"):
             load_corpora_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("0,a,1\n\n\n0,b,0\n", 5, "corpus counts must be positive integers, got 0 for 'b'"),
+            ('0,"two\nlines",x\n', 3, "malformed corpus row {'device_id': '0', 'category': 'two\\nlines', 'count': 'x'}"),
+            ("\n0,a\n", 3, "malformed corpus row {'device_id': '0', 'category': 'a', 'count': None}"),
+        ],
+    )
+    def test_error_names_the_file_line_the_record_ends_on(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("device_id,category,count\n" + text)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path}:{line}: {message}')}$"):
+            load_corpora_csv(path)
+
+    def test_columns_in_any_order_among_others(self, tmp_path):
+        path = tmp_path / "corpora.csv"
+        path.write_text("count,note,category,device_id\n2,x,b,1\n1,y,a,0\n3,z,c,1\n")
+        assert load_corpora_csv(path) == {
+            1: CategoryCorpus(1, (("b", 2), ("c", 3))),
+            0: CategoryCorpus(0, (("a", 1),)),
+        }
+
     def test_negative_count_is_configuration_error_on_cli(self, tmp_path):
         problem = copy_corpus_demo(tmp_path, "device_id,category,count\n0,sedans merging at the junction,-3\n")
         result = CliRunner().invoke(main, ["--json-errors", "similarity", "--problem", str(problem)])
@@ -288,6 +316,19 @@ class TestCorpusCsv:
         payload = json.loads(result.stderr)
         assert payload["type"] == "ConfigurationError"
         assert re.search(r"corpora\.csv:2: .*-3", payload["error"])
+
+
+def test_embedding_beyond_float_range_is_configuration_error_on_cli(tmp_path):
+    problem = copy_corpus_demo(tmp_path, sm.data_file("corpora_demo.csv").read_text())
+    embeddings = json.loads((tmp_path / "embeddings_demo.json").read_text())
+    embeddings["bus lane with traffic signals"] = [1, 10**400]
+    (tmp_path / "embeddings_demo.json").write_text(json.dumps(embeddings))
+    result = CliRunner().invoke(main, ["--json-errors", "similarity", "--problem", str(problem)])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "embedding for 'bus lane with traffic signals' holds an integer beyond the range of a float",
+        "type": "ConfigurationError",
+    }
 
 
 def copy_corpus_demo(tmp_path, corpus_csv: str):
