@@ -298,11 +298,37 @@ def _mean_matches(
     shape = np.shape(interests[0])
     cosines = _unit_rows(interests, shape) @ _unit_rows(list(vectors.values()), shape).T
     column = {text: j for j, text in enumerate(vectors)}
-    weights = np.array(counts, dtype=np.float64)
+    try:
+        weights = np.array(counts, dtype=np.float64)
+        # totals summed as Python ints, so they are exact at any size before the one rounding
+        totals = np.add.reduceat(np.array(counts, dtype=object), starts).astype(np.float64)
+    except OverflowError:
+        raise _count_overflow(texts, counts, starts) from None
     weighted = np.clip(cosines, 0.0, 1.0)[:, [column[text] for text in texts]] * weights
-    # totals summed as Python ints, so they are exact at any size before the one rounding
-    totals = np.add.reduceat(np.array(counts, dtype=object), starts).astype(np.float64)
     return np.add.reduceat(weighted, starts, axis=1) / totals
+
+
+def _count_overflow(texts: Sequence[str], counts: Sequence[int], starts: Sequence[int]) -> ConfigurationError:
+    """The error naming the first count, or running device total, beyond the range of a float."""
+    for start, end in zip(starts, [*starts[1:], len(counts)]):
+        total = 0
+        for text, count in zip(texts[start:end], counts[start:end]):
+            total += count
+            if _beyond_float(count):
+                return ConfigurationError(f"corpus count {count} for {text!r} is beyond the range of a float")
+            if _beyond_float(total):
+                return ConfigurationError(
+                    f"corpus counts of one device sum to {total} at {text!r}, beyond the range of a float"
+                )
+    raise ValueError("no corpus count is beyond the range of a float")
+
+
+def _beyond_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
 
 
 def average_similarity(

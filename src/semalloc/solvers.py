@@ -4,18 +4,22 @@ Both programs separate over VSPs: the objective is a sum of per-VSP terms and
 every coverage constraint involves a single VSP.  Each subproblem searches the
 bundle lattice bounded by :func:`bundle_upper_bound`.  A node's lower bound is
 its stage-1 cost plus its remaining per-scenario coverage gaps, priced by a
-feasible dual of the LP relaxation of the subtree below it (the recourse price
+feasible dual of the LP relaxation of the subtree below it: the recourse price
 per unit, scaled down so that no device left to branch on covers a unit for
-less than its bundle price).  The bound is admissible: recourse buys the gap
-rounded up, memberships cost at least nothing, and by weak duality the priced
-gap never exceeds what the subtree still pays.  The bound is convex and
-piecewise linear in the next device's count, so each node visits its children
-least bound first, outward from the bound's minimiser, and stops at the first
-child that can no longer win, or tie, the incumbent.  DIP uses the
-same search with an uncapped price, which prunes every subtree that can no
-longer cover its gap.  Among equal-cost optima the lexicographically smallest
-bundle vector by device index is returned, which keeps results reproducible
-regardless of the exploration order heuristic.
+less than its bundle price plus its membership spread over its search bound.
+That spread is the weak fixed-charge relaxation of Padberg, Van Roy and Wolsey
+("Valid linear inequalities for fixed charge problems", Oper. Res. 33(4),
+1985).  The bound is admissible: recourse buys the gap rounded up; no count
+exceeds its search bound, so a device in use pays at least that share of its
+membership per bundle; and by weak duality the priced gap never exceeds what
+the subtree still pays.  The bound is convex and piecewise linear in the next
+device's count, so each node visits its children least bound first, outward
+from the bound's minimiser, and stops at the first child that can no longer
+win, or tie, the incumbent.  DIP uses the same search with an uncapped price,
+which prunes every subtree that can no longer cover its gap.  Among equal-cost
+optima the lexicographically smallest bundle vector by device index is
+returned, which keeps results reproducible regardless of the exploration order
+heuristic.
 """
 
 from __future__ import annotations
@@ -157,29 +161,44 @@ class _SearchOutcome:
     bound: float  # lower bound on the optimum; equals ``cost`` once the search completes
 
 
+def _bundle_prices(
+    membership_costs: Sequence[float], bundle_costs: Sequence[float], upper_bounds: Sequence[int]
+) -> list[float]:
+    """Price of one bundle of each device in the LP relaxation of a subtree: ``b_e + m_e / U_e``.
+
+    No count exceeds its search bound ``U_e``, so ``k_e >= 1`` bundles pay a
+    membership ``m_e >= m_e * k_e / U_e``: the weak fixed-charge relaxation
+    ``z_e >= k_e / U_e`` (Padberg, Van Roy and Wolsey 1985).  A device with
+    ``U_e = 0`` buys nothing and keeps ``b_e``.
+    """
+    return [b + m / u if u else b for m, b, u in zip(membership_costs, bundle_costs, upper_bounds)]
+
+
 def _suffix_scales(
     order: Sequence[int],
-    bundle_costs: Sequence[float],
+    bundle_prices: Sequence[float],
     coverage_rows: Sequence[Sequence[float]],
     weights: Sequence[float],
     cap: float,
 ) -> list[float]:
     """Dual scale of the remaining coverage gaps at every depth ``0..len(order)``.
 
-    Scale ``d`` is ``min(cap, min over e in order[d:] of b_e / sum_j weights_j * a_ej)``
-    with ``a_ej`` = ``coverage_rows[e][j]``.  Pricing a unit of scenario ``i``'s
-    gap at ``scale * weights_i`` costs at most the recourse price ``cap`` per
-    weighted unit and lets no device left to branch on buy coverage below its
-    bundle price: a feasible dual of the LP relaxation of the subtree at depth
-    ``d``.  By weak duality ``scale * sum_i weights_i * max(0, gap_i)`` never
-    exceeds what the subtree still pays.  With no productive device left and an
-    infinite ``cap`` (a program without recourse) the scale is infinite: a
-    positive gap can no longer be covered.
+    Scale ``d`` is ``min(cap, min over e in order[d:] of p_e / sum_j weights_j * a_ej)``
+    with ``a_ej`` = ``coverage_rows[e][j]`` and ``p_e`` = ``bundle_prices[e]``,
+    the bundle price plus the membership share of :func:`_bundle_prices`.
+    Pricing a unit of scenario ``i``'s gap at ``scale * weights_i`` costs at
+    most the recourse price ``cap`` per weighted unit and lets no device left
+    to branch on buy coverage below ``p_e`` per bundle: a feasible dual of the
+    LP relaxation of the subtree at depth ``d``.  By weak duality
+    ``scale * sum_i weights_i * max(0, gap_i)`` never exceeds what the subtree
+    still pays.  With no productive device left and an infinite ``cap`` (a
+    program without recourse) the scale is infinite: a positive gap can no
+    longer be covered.
     """
     scales = [cap]
     for device in reversed(order):
         weighted = sum([w * a for w, a in zip(weights, coverage_rows[device])])
-        scales.append(min(scales[-1], bundle_costs[device] / weighted) if weighted > 0.0 else scales[-1])
+        scales.append(min(scales[-1], bundle_prices[device] / weighted) if weighted > 0.0 else scales[-1])
     return scales[::-1]
 
 
@@ -322,8 +341,10 @@ def _dfs_bundle_search(
     ``e``) has the lower bound ``S + scale_d * sum_i weights_i * max(0, needs_i - c_i)``
     with the dual scale of :func:`_suffix_scales` (``weights`` are the scenario
     probabilities and ``cap`` the recourse unit price, or ``[1]`` and infinity
-    for a program without recourse).  It is admissible: recourse rounds its gap
-    up, memberships cost at least nothing, and weak duality bounds the rest.
+    for a program without recourse), which prices each bundle left to branch on
+    at :func:`_bundle_prices`.  It is admissible: recourse rounds its gap up,
+    no count exceeds ``upper_bounds``, so a device in use pays at least
+    ``m_e / U_e`` of membership per bundle, and weak duality bounds the rest.
     Each node visits its children in order of their bound (:func:`_counts_by_bound`),
     so good incumbents come early, and stops at the first child past the tie
     window of the incumbent: every later child is no better, and tied subtrees
@@ -337,7 +358,8 @@ def _dfs_bundle_search(
     children left unexplored.
     """
     num_devices = len(order)
-    scales = _suffix_scales(order, bundle_costs, coverage_rows, weights, cap)
+    prices = _bundle_prices(membership_costs, bundle_costs, upper_bounds)
+    scales = _suffix_scales(order, prices, coverage_rows, weights, cap)
     best_cost = math.inf
     ceiling = math.inf  # the incumbent plus its tie window
     tied: list[tuple[float, tuple[int, ...]]] = []  # leaves within the window, with their costs

@@ -438,6 +438,21 @@ class TestSimilarityCommand:
             "type": "ValidationFailure",
         }
 
+    def test_json_errors_for_a_count_beyond_float_range(self, runner, tmp_path):
+        for name in ("interest_switch_corpus.json", "embeddings_demo.json"):
+            (tmp_path / name).write_bytes(sm.data_file(name).read_bytes())
+        rows = read_csv(sm.data_file("corpora_demo.csv"))
+        rows[1][2] = "1" + "0" * 400
+        with open(tmp_path / "corpora_demo.csv", "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        problem = tmp_path / "interest_switch_corpus.json"
+        result = runner.invoke(main, ["--json-errors", "similarity", "--problem", str(problem)])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": f"corpus count 1{'0' * 400} for {rows[1][1]!r} is beyond the range of a float",
+            "type": "ConfigurationError",
+        }
+
 
 DEMOS = [
     "cost_structure_demo.json",

@@ -122,6 +122,16 @@ class TestAverageSimilarity:
         with pytest.raises(ValueError, match="empty"):
             average_similarity(provider.embed("x"), CategoryCorpus(0, ()), provider)
 
+    def test_counts_beyond_float_range_are_configuration_errors(self):
+        provider = FileEmbeddings({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        huge = CategoryCorpus(0, (("a", 1), ("b", 10**400)))
+        with pytest.raises(ConfigurationError, match=r"^corpus count 10{400} for 'b' is beyond the range of a float$"):
+            average_similarity(np.array([1.0, 0.0]), huge, provider)
+        summed = CategoryCorpus(0, (("a", 2**1023), ("b", 2**1023)))
+        message = rf"^corpus counts of one device sum to {2**1024} at 'b', beyond the range of a float$"
+        with pytest.raises(ConfigurationError, match=message):
+            average_similarity(np.array([1.0, 0.0]), summed, provider)
+
     def test_count_weighting_equals_entry_splitting(self):
         provider = FileEmbeddings({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         interest = np.array([1.0, 0.0])

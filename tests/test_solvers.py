@@ -30,7 +30,14 @@ from _support import (
 )
 from semalloc.core_model import reservation_bundle_cost
 from semalloc.recourse import shortfalls, snapped_requirements
-from semalloc.solvers import TIE_REL, _child_bounds, _counts_by_bound, _suffix_scales, _weighted_gap
+from semalloc.solvers import (
+    TIE_REL,
+    _bundle_prices,
+    _child_bounds,
+    _counts_by_bound,
+    _suffix_scales,
+    _weighted_gap,
+)
 from test_recourse import build_instance, device_with_unit_cost, repro_instance
 
 
@@ -630,9 +637,9 @@ class TestRecourseBound:
         rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
         unit = min(on_demand_unit_cost(dev) for dev in devices)
         probabilities = list(inst.probabilities)
-        scales = _suffix_scales(order, bundle_costs, rows, probabilities, unit)
-        needs = snapped_requirements(inst)[0].tolist()
         ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
+        scales = _suffix_scales(order, _bundle_prices(memberships, bundle_costs, ubs), rows, probabilities, unit)
+        needs = snapped_requirements(inst)[0].tolist()
 
         plans = _lattice_plans(inst)
         costs = _lattice_costs(plans, inst)
@@ -673,7 +680,9 @@ class TestRecourseBound:
         rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
         probabilities = list(inst.probabilities)
         cap = min(on_demand_unit_cost(dev) for dev in devices) if recourse else math.inf
-        scales = _suffix_scales(order, bundle_costs, rows, probabilities, cap)
+        memberships = [dev.membership_cost for dev in devices]
+        ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
+        scales = _suffix_scales(order, _bundle_prices(memberships, bundle_costs, ubs), rows, probabilities, cap)
         needs = snapped_requirements(inst)[0].tolist()
         depth = data.draw(st.integers(0, inst.num_devices - 1), label="depth")
         stage1, covered = 0.0, [0.0] * inst.num_scenarios
@@ -709,6 +718,42 @@ class TestRecourseBound:
             assert bound == (zero if count == 0 else pytest.approx(child_bound(count), rel=1e-12, abs=1e-12))
         for (before, _), (after, _) in zip(children, children[1:]):
             assert after >= before - 1e-12 * max(1.0, abs(before))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), membership_scale=st.sampled_from([1.0, 10.0, 1000.0]), data=st.data())
+    def test_node_bound_never_exceeds_its_subtree_minimum(self, seed, membership_scale, data):
+        # larger memberships make ``m_e / U_e`` a larger share of each bundle's price
+        inst = make_decimal_instance(np.random.default_rng(seed))
+        devices = tuple(
+            dataclasses.replace(dev, membership_cost=dev.membership_cost * membership_scale) for dev in inst.devices
+        )
+        inst = sm.ProblemInstance(devices, inst.vsps, inst.scenarios, inst.similarity)
+        order = data.draw(st.permutations(range(inst.num_devices)), label="order")
+        memberships = [dev.membership_cost for dev in devices]
+        bundle_costs = [reservation_bundle_cost(dev) for dev in devices]
+        rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
+        unit = min(on_demand_unit_cost(dev) for dev in devices)
+        probabilities = list(inst.probabilities)
+        ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
+        scales = _suffix_scales(order, _bundle_prices(memberships, bundle_costs, ubs), rows, probabilities, unit)
+        needs = snapped_requirements(inst)[0].tolist()
+
+        # the lattice reaches U_e + 1, but those counts are dominated, so the minimum lies in k <= U
+        plans = _lattice_plans(inst)
+        costs = _lattice_costs(plans, inst)
+        depth = data.draw(st.integers(0, inst.num_devices), label="depth")
+        stage1, covered = 0.0, [0.0] * inst.num_scenarios
+        subtree = np.ones(len(plans), dtype=bool)
+        for e in order[:depth]:
+            count = data.draw(st.integers(0, ubs[e]), label=f"count of device {e}")
+            if count:
+                stage1 = stage1 + (memberships[e] + count * bundle_costs[e])
+                covered = [c + count * r for c, r in zip(covered, rows[e])]
+            subtree &= plans[:, e] == count
+        gap = _weighted_gap(needs, covered, probabilities)
+        bound = stage1 + scales[depth] * gap if gap > 0.0 else stage1
+        minimum = costs[subtree].min()
+        assert bound <= minimum + 1e-12 * max(1.0, minimum), (bound, minimum)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
@@ -784,9 +829,9 @@ class TestScalingWall:
                 total = evaluate_total(ReservationPlan.from_bundles(neighbour), inst).cost.total
                 assert total >= solution.cost.total * (1 - 1e-12), (e, delta)
 
-    def test_every_hard_instance_solves_within_two_thousand_nodes(self):
+    def test_every_hard_instance_solves_within_one_thousand_nodes(self):
         for seed in range(40):
-            solve_sip(hard_instance(seed), SolverConfig(node_limit=2_000))
+            solve_sip(hard_instance(seed), SolverConfig(node_limit=1_000))
 
 
 def _every_cut(solve):
