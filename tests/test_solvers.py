@@ -829,6 +829,10 @@ class TestScalingWall:
                 total = evaluate_total(ReservationPlan.from_bundles(neighbour), inst).cost.total
                 assert total >= solution.cost.total * (1 - 1e-12), (e, delta)
 
+    def test_every_hard_instance_solves_within_two_thousand_nodes(self):
+        for seed in range(40):
+            solve_sip(hard_instance(seed), SolverConfig(node_limit=2_000))
+
     def test_every_hard_instance_solves_within_one_thousand_nodes(self):
         for seed in range(40):
             solve_sip(hard_instance(seed), SolverConfig(node_limit=1_000))
