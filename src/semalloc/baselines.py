@@ -4,7 +4,7 @@ The expected-value scheme collapses the scenario set to its mean (demand as
 the probability-weighted product quantity*threshold, similarity likewise
 averaged), solves the deterministic program, then pays for that fixed plan
 under the true scenario distribution.  The random scheme draws whole plans
-uniformly within the search bounds.
+uniformly within the search bounds, every plan from one seeded PCG64 stream.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .core_model import ProblemInstance
 from .recourse import ReservationPlan, Solution, evaluate_many, evaluate_total
-from .solvers import DipInstance, SolverConfig, bundle_upper_bound, solve_dip
+from .solvers import DipInstance, SolverConfig, solve_dip
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,8 @@ class RandomSchemeConfig:
     samples: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
@@ -74,23 +76,18 @@ def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> 
 def solve_random(instance: ProblemInstance, config: RandomSchemeConfig) -> RandomSchemeResult:
     """Uniform random plans within the per-(vsp, device) bundle bounds.
 
-    Generator pinned for cross-run reproducibility: sample ``k`` is drawn by
-    its own PCG64 seeded through ``SeedSequence((seed, k))``, bundle counts
-    drawn with ``Generator.integers``, so each plan is independent of the
-    sample count.  The stacked plans are priced together by one
-    :func:`evaluate_many` call; only the best is expanded into a full
-    :class:`Solution`.
+    Generator pinned for cross-run reproducibility: one PCG64 seeded through
+    ``SeedSequence(seed)`` draws every plan in one
+    ``Generator.integers(0, instance.bundle_upper_bounds + 1, size=(samples,
+    vsp, device), dtype=np.int64)`` call.  The draw fills the stack in C
+    order, one plan after another, so the first ``k`` plans of any draw are
+    the ``k``-sample draw: a plan does not depend on the sample count.  The
+    stacked plans are priced together by one :func:`evaluate_many` call; only
+    the best is expanded into a full :class:`Solution`.
     """
-    upper = np.zeros((instance.num_vsps, instance.num_devices), dtype=np.int64)
-    for w in range(instance.num_vsps):
-        for e in range(instance.num_devices):
-            upper[w, e] = bundle_upper_bound(w, e, instance)
-
-    plans = np.stack([
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, index))))
-        .integers(0, upper + 1, dtype=np.int64)
-        for index in range(config.samples)
-    ])
+    upper = instance.bundle_upper_bounds
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    plans = rng.integers(0, upper + 1, size=(config.samples, *upper.shape), dtype=np.int64)
     plans.setflags(write=False)
     totals = tuple(evaluate_many(plans, instance).total.tolist())
     best_index = min(range(len(totals)), key=lambda i: (totals[i], i))

@@ -149,12 +149,13 @@ def compare_rows(
             "on-demand cost factors must exceed max_e alpha_reservation/alpha_on_demand = "
             f"{bound!r}; got {', '.join(repr(f) for f in inverted)}"
         )
+    random_config = RandomSchemeConfig(seed=seed, samples=samples)
 
     def solve_point(point: tuple[float, ProblemInstance]) -> list:
         factor, scaled = point
         sip_total = solve_sip(scaled, config).cost.total
         evf_total = solve_evf(scaled, config).cost.total
-        random_result = solve_random(scaled, RandomSchemeConfig(seed=seed, samples=samples))
+        random_result = solve_random(scaled, random_config)
         return [factor, sip_total, evf_total, random_result.mean_total, random_result.min_total]
 
     return parallel_map(solve_point, points)

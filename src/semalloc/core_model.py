@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 PROBABILITY_SUM_TOL = 1e-9
 
 
@@ -187,6 +189,21 @@ class ProblemInstance:
         matrix.setflags(write=False)
         return matrix
 
+    @cached_property
+    def bundle_upper_bounds(self) -> np.ndarray:
+        """Read-only int64 ``(vsp, device)`` search bounds: the most bundles any optimal plan buys.
+
+        Enough bundles to cover the VSP's worst-case requirement from the
+        device alone at its least productive positive similarity
+        (:func:`bundle_caps`); anything beyond that can be dropped without
+        losing feasibility or raising cost.  Zero where the device never
+        matches the interest or demand is zero in every scenario.
+        """
+        sizes = np.array([dev.bundle_size for dev in self.devices], dtype=np.float64)
+        matrix = bundle_caps(self.max_requirement, sizes, self.least_positive_similarity)
+        matrix.setflags(write=False)
+        return matrix
+
 
 @dataclass(frozen=True)
 class CostBreakdown:
@@ -247,6 +264,27 @@ def on_demand_unit_cost(device: EdgeDevice) -> float:
         / device.uplink_rate
         * device.alpha_on_demand
     )
+
+
+def bundle_caps(requirements: np.ndarray, bundle_sizes: np.ndarray, similarity: np.ndarray) -> np.ndarray:
+    """Bundles each device alone needs to cover each VSP's requirement, as an int64 ``(vsp, device)`` matrix.
+
+    Entry ``(w, e)`` is ``ceil(requirements[w] / (bundle_sizes[e] * similarity[w, e]))``
+    for requirements ``>= 0`` and similarities in ``(0, inf]``: 0 where the
+    requirement is 0 or the similarity is infinite (the device never
+    matches).  A similarity so small (subnormal) that the count reaches
+    ``2**63`` bounds nothing and is a :class:`ConfigurationError` naming the
+    first such entry in row-major order.
+    """
+    with np.errstate(over="ignore"):
+        counts = np.ceil(requirements[:, None] / (bundle_sizes * similarity))
+    unbounded = np.argwhere(~(counts < 2.0**63))
+    if unbounded.size:
+        w, e = unbounded[0].tolist()
+        raise ConfigurationError(
+            f"VSP {w}, device {e}: similarity {float(similarity[w, e])!r} is too small to bound its bundle count"
+        )
+    return counts.astype(np.int64)
 
 
 def energy_ratio(device: EdgeDevice) -> float:

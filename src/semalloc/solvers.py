@@ -2,7 +2,7 @@
 
 Both programs separate over VSPs: the objective is a sum of per-VSP terms and
 every coverage constraint involves a single VSP.  Each subproblem searches the
-bundle lattice bounded by :func:`bundle_upper_bound`.  A node's lower bound is
+bundle lattice bounded by ``core_model.bundle_caps``.  A node's lower bound is
 its stage-1 cost plus its remaining per-scenario coverage gaps, priced by a
 feasible dual of the LP relaxation of the subtree below it: the recourse price
 per unit, scaled down so that no device left to branch on covers a unit for
@@ -35,11 +35,12 @@ from .core_model import (
     CostBreakdown,
     EdgeDevice,
     ProblemInstance,
+    bundle_caps,
     on_demand_unit_cost,
     reservation_bundle_cost,
     validate_instance,
 )
-from .errors import ConfigurationError, InfeasibleError, NodeLimitError, ValidationFailure
+from .errors import InfeasibleError, NodeLimitError, ValidationFailure
 from .recourse import (
     RecourseDecision,
     ReservationPlan,
@@ -101,55 +102,18 @@ class DipInstance:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the branch-and-bound search.
+    """Knobs for the branch-and-bound search."""
 
-    ``bundle_cap_override`` replaces the computed per-(vsp, device) search
-    bounds when provided.
-    """
-
-    bundle_cap_override: np.ndarray | None = None
     node_limit: int = 10_000_000
 
     def __post_init__(self):
         if self.node_limit < 1:
             raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
-        if self.bundle_cap_override is not None:
-            caps = np.array(self.bundle_cap_override, dtype=np.int64, copy=True)
-            if (caps < 0).any():
-                raise ValueError("bundle_cap_override entries must be non-negative")
-            caps.setflags(write=False)
-            object.__setattr__(self, "bundle_cap_override", caps)
 
 
 def bundle_upper_bound(w: int, e: int, instance: ProblemInstance) -> int:
-    """Largest bundle count on (w, e) any optimal plan can use.
-
-    Enough bundles to cover the worst-case requirement from device e alone at
-    its least productive positive similarity; anything beyond that can be
-    dropped without losing feasibility or raising cost.  Zero when the device
-    never matches the interest or demand is zero everywhere.
-    """
-    least = float(instance.least_positive_similarity[w, e])
-    if least == math.inf:
-        return 0
-    max_requirement = float(instance.max_requirement[w])
-    if max_requirement <= 0.0:
-        return 0
-    return _bundle_cap(w, e, max_requirement, instance.devices[e].bundle_size, least)
-
-
-def _bundle_cap(w: int, e: int, requirement: float, bundle_size: int, similarity: float) -> int:
-    """Bundles device e alone needs to cover ``requirement`` at ``similarity`` > 0.
-
-    A similarity so small (subnormal) that the count overflows to infinity
-    bounds nothing and is a :class:`ConfigurationError`.
-    """
-    count = requirement / (bundle_size * similarity)
-    if count == math.inf:
-        raise ConfigurationError(
-            f"VSP {w}, device {e}: similarity {similarity!r} is too small to bound its bundle count"
-        )
-    return int(math.ceil(count))
+    """Largest bundle count on (w, e) any optimal plan can use: ``instance.bundle_upper_bounds[w, e]``."""
+    return int(instance.bundle_upper_bounds[w, e])
 
 
 @dataclass
@@ -456,10 +420,14 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     membership_costs = [dev.membership_cost for dev in devices]
     bundle_sizes = [dev.bundle_size for dev in devices]
 
+    requirements = dip.actual_quantity * dip.actual_threshold
+    matching = np.where(dip.actual_similarity > 0.0, dip.actual_similarity, math.inf)
+    caps = bundle_caps(requirements, np.array(bundle_sizes, dtype=np.float64), matching)
+
     bundles = np.zeros((dip.num_vsps, num_devices), dtype=np.int64)
     outcomes = []
     for w in range(dip.num_vsps):
-        requirement = float(dip.actual_quantity[w] * dip.actual_threshold[w])
+        requirement = float(requirements[w])
         if requirement <= 0.0:
             outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0))
             continue
@@ -468,21 +436,12 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
             raise InfeasibleError(
                 w, f"VSP {w}: requirement {requirement} but no device has positive similarity"
             )
-        if config.bundle_cap_override is not None:
-            ubs = [int(config.bundle_cap_override[w, e]) for e in range(num_devices)]
-        else:
-            ubs = [
-                _bundle_cap(w, e, requirement, bundle_sizes[e], float(similarity[e]))
-                if similarity[e] > 0.0
-                else 0
-                for e in range(num_devices)
-            ]
         need = float(snap(requirement))
         order = _exploration_order(bundle_costs, bundle_sizes, similarity)
         rows = [[size * float(sim)] for size, sim in zip(bundle_sizes, similarity)]
         outcome = _dfs_bundle_search(
             order,
-            ubs,
+            caps[w].tolist(),
             membership_costs,
             bundle_costs,
             rows,
@@ -545,15 +504,11 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
         needs = snapped[w].tolist()
         if all(need <= 0.0 for need in needs):
             return _SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0)
-        if config.bundle_cap_override is not None:
-            ubs = [int(config.bundle_cap_override[w, e]) for e in range(num_devices)]
-        else:
-            ubs = [bundle_upper_bound(w, e, instance) for e in range(num_devices)]
         order = _exploration_order(bundle_costs, bundle_sizes, expected_sim[w].tolist())
         rows = (sizes[:, None] * instance.similarity[w]).tolist()
         return _dfs_bundle_search(
             order,
-            ubs,
+            instance.bundle_upper_bounds[w].tolist(),
             membership_costs,
             bundle_costs,
             rows,

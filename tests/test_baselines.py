@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semalloc as sm
 from semalloc import (
@@ -56,6 +57,8 @@ class TestRandomScheme:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RandomSchemeConfig(seed=1, samples=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            RandomSchemeConfig(seed=-3, samples=1)
 
     def test_zero_bounds_give_zero_plans(self):
         inst = build_instance([1.0], [[[0.5]]], [[0]])
@@ -74,6 +77,22 @@ class TestRandomScheme:
         few = solve_random(singapore, RandomSchemeConfig(seed=5, samples=3))
         many = solve_random(singapore, RandomSchemeConfig(seed=5, samples=30))
         assert np.array_equal(few.plans, many.plans[:3]) and few.totals == many.totals[:3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**64),
+        counts=st.lists(st.integers(1, 12), min_size=2, max_size=2).map(sorted),
+    )
+    def test_every_draw_is_a_prefix_within_the_bounds(self, instance_seed, seed, counts):
+        k, n = counts
+        inst = make_random_instance(np.random.default_rng(instance_seed), max_vsps=3, max_devices=4)
+        few = solve_random(inst, RandomSchemeConfig(seed=seed, samples=k)).plans
+        many = solve_random(inst, RandomSchemeConfig(seed=seed, samples=n)).plans
+        upper = inst.bundle_upper_bounds
+        assert np.array_equal(few, many[:k])
+        assert (many >= 0).all() and (many <= upper).all()
+        assert not many[:, upper == 0].any()
 
     def test_fixed_seed_reproduces_totals(self, singapore):
         config = RandomSchemeConfig(seed=7, samples=50)

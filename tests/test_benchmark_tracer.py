@@ -3,11 +3,14 @@
 ``bench/tracing.py`` wraps the package's functions by module and binding
 name, so renaming or deleting a module it lists in ``LAYERS`` breaks every
 ``bench/run.py --trace 1`` run.  This test catches that in the package's own
-suite.
+suite, and a short traced ``sweep`` run must exit cleanly with every check
+passed.
 """
 
 import importlib
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,14 @@ def test_tracer_installs_on_every_layer_and_restores_every_binding(monkeypatch):
         assert inspect.getattr_static(owner, attr) is value, (owner, attr)
     after = _bindings()
     assert [key for key, value in before.items() if after.get(key) is not value] == []
+
+
+def test_a_traced_sweep_run_passes_every_check():
+    args = ["--workload", "sweep", "--seed", "1", "--seconds", "0.01", "--trace", "1"]
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), *args],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

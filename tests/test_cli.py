@@ -163,6 +163,13 @@ class TestSolveCommand:
             "type": "ConfigurationError",
         }
 
+    def test_json_errors_for_a_negative_seed(self, runner):
+        problem = str(sm.data_file("singapore_demo.json"))
+        args = ["--json-errors", "solve", "--problem", problem, "--scheme", "random", "--seed", "-1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": "seed must be >= 0, got -1", "type": "ValueError"}
+
 
 class TestThreadsVariable:
     @pytest.mark.parametrize("value", ["0", "-1", "abc"])
@@ -357,6 +364,16 @@ class TestCompare:
             "on-demand cost factors must exceed max_e alpha_reservation/alpha_on_demand = "
             "0.3333333333333333; got 0.1, 0.2, 0.3"
         )
+
+    def test_negative_seed_rejected_before_any_solve(self, runner, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("solved before the random-scheme seed was checked")
+
+        monkeypatch.setattr("semalloc.cli.solve_sip", unexpected)
+        problem = str(sm.data_file("singapore_demo.json"))
+        result = runner.invoke(main, ["--json-errors", "compare", "--problem", problem, "--seed", "-1"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": "seed must be >= 0, got -1", "type": "ValueError"}
 
 
 class TestEnergyReport:

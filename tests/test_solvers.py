@@ -29,6 +29,7 @@ from _support import (
     random_plan,
 )
 from semalloc.core_model import reservation_bundle_cost
+from semalloc.errors import ConfigurationError
 from semalloc.recourse import shortfalls, snapped_requirements
 from semalloc.solvers import (
     TIE_REL,
@@ -82,6 +83,78 @@ class TestBundleUpperBound:
             for w in range(inst.num_vsps):
                 for e in range(inst.num_devices):
                     assert solution.plan.bundles[w, e] <= bundle_upper_bound(w, e, inst)
+
+
+def former_bundle_upper_bound(w: int, e: int, instance: sm.ProblemInstance) -> int:
+    """The per-(vsp, device) search bound as each call computed it before the cached matrix."""
+    least = float(instance.least_positive_similarity[w, e])
+    if least == math.inf:
+        return 0
+    max_requirement = float(instance.max_requirement[w])
+    if max_requirement <= 0.0:
+        return 0
+    count = max_requirement / (instance.devices[e].bundle_size * least)
+    if count == math.inf:
+        raise ConfigurationError(
+            f"VSP {w}, device {e}: similarity {least!r} is too small to bound its bundle count"
+        )
+    return int(math.ceil(count))
+
+
+def bound_instance(sizes, quantities, thresholds, similarity) -> sm.ProblemInstance:
+    """An instance with the given bundle sizes, ``(scenario, vsp)`` demands and ``(vsp, device, scenario)`` tensor."""
+    num_scenarios = len(quantities)
+    devices = tuple(
+        sm.EdgeDevice(e, 1.5e6, 0.1, 5125.0, 1.0, size, 5.0, 15.0) for e, size in enumerate(sizes)
+    )
+    scenarios = tuple(
+        sm.DemandScenario(1.0 / num_scenarios, tuple(sm.VspDemand("k", q, t) for q, t in zip(qs, ts)))
+        for qs, ts in zip(quantities, thresholds)
+    )
+    return sm.ProblemInstance(devices, tuple(sm.Vsp(w) for w in range(len(similarity))), scenarios, similarity)
+
+
+@st.composite
+def bound_instances(draw):
+    num_vsps, num_devices, num_scenarios = (draw(st.integers(1, n)) for n in (3, 4, 3))
+    # a subnormal similarity overflows the count; the others keep it below 2**63
+    similarity = st.one_of(st.just(0.0), st.floats(1e-9, 1.0), st.floats(5e-324, 1e-320))
+    demand = st.one_of(st.just(0), st.integers(1, 10**6))
+    threshold = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    return bound_instance(
+        draw(st.lists(st.integers(1, 500), min_size=num_devices, max_size=num_devices)),
+        [[draw(demand) for _ in range(num_vsps)] for _ in range(num_scenarios)],
+        [[draw(threshold) for _ in range(num_vsps)] for _ in range(num_scenarios)],
+        [[[draw(similarity) for _ in range(num_scenarios)] for _ in range(num_devices)] for _ in range(num_vsps)],
+    )
+
+
+class TestBundleUpperBoundsMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(inst=bound_instances())
+    @example(inst=bound_instance([3], [[0]], [[1.0]], [[[0.5]]]))  # zero demand
+    @example(inst=bound_instance([3, 4], [[7]], [[0.5]], [[[0.0], [0.25]]]))  # no positive similarity
+    @example(inst=bound_instance([2, 2], [[0, 5]], [[1.0, 1.0]], [[[1e-320], [0.5]], [[0.5], [1e-320]]]))
+    def test_matrix_equals_the_former_per_call_bound(self, inst):
+        cells = [(w, e) for w in range(inst.num_vsps) for e in range(inst.num_devices)]
+        try:
+            expected = [former_bundle_upper_bound(w, e, inst) for w, e in cells]  # row-major
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError) as raised:
+                inst.bundle_upper_bounds
+            assert str(raised.value) == str(exc)
+            return
+        matrix = inst.bundle_upper_bounds
+        assert matrix.dtype == np.int64 and not matrix.flags.writeable
+        assert matrix.reshape(-1).tolist() == expected
+        assert [bundle_upper_bound(w, e, inst) for w, e in cells] == expected
+
+    def test_a_bound_of_two_to_the_sixty_three_is_a_configuration_error(self):
+        inst = bound_instance([1], [[10**12]], [[1.0]], [[[1e-9]]])
+        assert former_bundle_upper_bound(0, 0, inst) >= 2**63
+        message = "VSP 0, device 0: similarity 1e-09 is too small to bound its bundle count"
+        with pytest.raises(ConfigurationError, match=message):
+            inst.bundle_upper_bounds
 
 
 class TestSolveDip:
@@ -315,11 +388,6 @@ class TestSolveSip:
         assert solution.cost.total == min(
             evaluate_total(ReservationPlan.from_bundles(plan), inst).cost.total for plan in _lattice(inst)
         )
-
-    def test_bundle_cap_override_restricts_search(self, singapore):
-        caps = np.zeros((2, 3), dtype=np.int64)
-        solution = solve_sip(singapore, SolverConfig(bundle_cap_override=caps))
-        assert not solution.plan.bundles.any()  # forced pure on-demand
 
     def test_vanishing_on_demand_cost_stops_all_reservation(self):
         # positive membership plus near-free on-demand: reserving buys nothing;
