@@ -46,7 +46,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError
             start, stop, step = (float(tok) for tok in parts)
-            if step <= 0 or stop < start:
+            if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
                 raise ValueError
             count = int((stop - start) / step + 1e-9)
             # rounding keeps grid points like 0.3 exact instead of 0.30000000000000004

@@ -16,21 +16,23 @@ the subtree still pays.  The bound is convex and piecewise linear in the next
 device's count, so each node visits its children least bound first, outward
 from the bound's minimiser, and stops at the first child that can no longer
 win, or tie, the incumbent.  DIP uses the same search with an uncapped price,
-which prunes every subtree that can no longer cover its gap.  Among equal-cost
-optima the lexicographically smallest bundle vector by device index is
-returned, which keeps results reproducible regardless of the exploration order
-heuristic.
+which prunes every subtree that can no longer cover its gap.  Both programs
+build their search data (exploration orders, bundle prices, dual ratios and
+coverage rows) for every VSP at once in one numpy set-up,
+:func:`_search_setup`.  Among equal-cost optima the lexicographically smallest
+bundle vector by device index is returned, which keeps results reproducible
+regardless of the exploration order heuristic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .core_model import (
     CostBreakdown,
     EdgeDevice,
@@ -87,7 +89,7 @@ class DipInstance:
             raise ValueError("actual_similarity entries must lie in [0, 1]")
         if (qty < 0).any() or not np.all(np.isfinite(qty)):
             raise ValueError("actual_quantity entries must be non-negative")
-        if (thr < 0).any() or (thr > 1).any():
+        if (thr < 0).any() or (thr > 1).any() or not np.all(np.isfinite(thr)):
             raise ValueError("actual_threshold entries must lie in [0, 1]")
         for arr in (sim, qty, thr):
             arr.setflags(write=False)
@@ -125,45 +127,80 @@ class _SearchOutcome:
     bound: float  # lower bound on the optimum; equals ``cost`` once the search completes
 
 
-def _bundle_prices(
-    membership_costs: Sequence[float], bundle_costs: Sequence[float], upper_bounds: Sequence[int]
-) -> list[float]:
-    """Price of one bundle of each device in the LP relaxation of a subtree: ``b_e + m_e / U_e``.
+class _SearchSetup(NamedTuple):
+    """Every VSP's search data from :func:`_search_setup`, as plain lists the DFS indexes."""
 
-    No count exceeds its search bound ``U_e``, so ``k_e >= 1`` bundles pay a
-    membership ``m_e >= m_e * k_e / U_e``: the weak fixed-charge relaxation
-    ``z_e >= k_e / U_e`` (Padberg, Van Roy and Wolsey 1985).  A device with
-    ``U_e = 0`` buys nothing and keeps ``b_e``.
+    orders: list[list[int]]  # (vsp, depth): the device branched on at each depth
+    ratios: list[list[float]]  # (vsp, device): p_e / sum_i weights_i * a_ei, inf where the sum is 0
+    rows: list[list[list[float]]]  # (vsp, device, scenario): a_ei, the coverage of one bundle
+    upper: list[list[int]]  # (vsp, device): the search bounds U_e
+    memberships: list[float]
+    bundle_costs: list[float]
+    weights: list[float]
+    cap: float
+
+
+def _search_setup(
+    devices: Sequence[EdgeDevice], similarity: np.ndarray, weights: Sequence[float], cap: float, upper: np.ndarray
+) -> _SearchSetup:
+    """Exploration order, dual ratios and coverage rows of every VSP's search, built at once.
+
+    ``similarity`` is ``(vsp, device, scenario)`` and ``upper`` the ``(vsp,
+    device)`` search bounds.  One bundle of device ``e`` covers ``a_ei =
+    size_e * similarity[w, e, i]`` in scenario ``i``.
+
+    - **Order.**  Devices by ascending reservation cost per expected relevant
+      unit, ``b_e / (size_e * sum_i weights_i * similarity[w, e, i])``, ties
+      by device index; devices with no relevant unit go last, by index.
+      Cheap-and-relevant devices first tighten incumbents early.  The order
+      only affects search speed, never the returned optimum (the lexicographic
+      tie-break is applied in device-index space).
+    - **Price.**  One bundle costs ``p_e = b_e + m_e / U_e`` in the LP
+      relaxation of a subtree.  No count exceeds ``U_e``, so ``k_e >= 1``
+      bundles pay a membership ``m_e >= m_e * k_e / U_e``: the weak
+      fixed-charge relaxation ``z_e >= k_e / U_e`` (Padberg, Van Roy and
+      Wolsey 1985).  A device with ``U_e = 0`` buys nothing and keeps ``b_e``.
+    - **Ratio.**  ``p_e / sum_i weights_i * a_ei``, or infinity where that sum
+      is 0: the largest dual scale at which device ``e`` buys no coverage
+      below its price.  :func:`_suffix_scales` takes their running minimum.
+
+    Every weighted sum runs over the scenarios left to right from 0.0, one
+    ``acc + weights_i * x[..., i]`` per scenario, so orders and ratios have
+    the bits of the per-VSP sums they stand for.
     """
-    return [b + m / u if u else b for m, b, u in zip(membership_costs, bundle_costs, upper_bounds)]
+    bundle_costs = np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64)
+    memberships = np.array([dev.membership_cost for dev in devices], dtype=np.float64)
+    sizes = np.array([dev.bundle_size for dev in devices], dtype=np.float64)
+    rows = sizes[:, None] * similarity
+    expected = weighted = np.zeros(similarity.shape[:2])
+    for i, weight in enumerate(weights):
+        expected = expected + weight * similarity[:, :, i]
+        weighted = weighted + weight * rows[:, :, i]
+    relevant = sizes * expected
+    idle = relevant <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        per_unit = np.where(idle, 0.0, bundle_costs / relevant)
+        prices = np.where(upper > 0, bundle_costs + memberships / upper, bundle_costs)
+        ratios = np.where(weighted > 0.0, prices / weighted, math.inf)
+    orders = np.lexsort((per_unit, idle))  # stable: equal keys keep device-index order
+    arrays = (orders, ratios, rows, upper, memberships, bundle_costs)
+    return _SearchSetup(*(array.tolist() for array in arrays), list(weights), cap)
 
 
-def _suffix_scales(
-    order: Sequence[int],
-    bundle_prices: Sequence[float],
-    coverage_rows: Sequence[Sequence[float]],
-    weights: Sequence[float],
-    cap: float,
-) -> list[float]:
+def _suffix_scales(order: Sequence[int], ratios: Sequence[float], cap: float) -> list[float]:
     """Dual scale of the remaining coverage gaps at every depth ``0..len(order)``.
 
-    Scale ``d`` is ``min(cap, min over e in order[d:] of p_e / sum_j weights_j * a_ej)``
-    with ``a_ej`` = ``coverage_rows[e][j]`` and ``p_e`` = ``bundle_prices[e]``,
-    the bundle price plus the membership share of :func:`_bundle_prices`.
-    Pricing a unit of scenario ``i``'s gap at ``scale * weights_i`` costs at
-    most the recourse price ``cap`` per weighted unit and lets no device left
-    to branch on buy coverage below ``p_e`` per bundle: a feasible dual of the
-    LP relaxation of the subtree at depth ``d``.  By weak duality
-    ``scale * sum_i weights_i * max(0, gap_i)`` never exceeds what the subtree
-    still pays.  With no productive device left and an infinite ``cap`` (a
-    program without recourse) the scale is infinite: a positive gap can no
-    longer be covered.
+    Scale ``d`` is ``min(cap, min over e in order[d:] of ratios[e])``, with the
+    ratios of :func:`_search_setup`.  Pricing a unit of scenario ``i``'s gap
+    at ``scale * weights_i`` costs at most the recourse price ``cap`` per
+    weighted unit and lets no device left to branch on buy coverage below its
+    bundle price: a feasible dual of the LP relaxation of the subtree at depth
+    ``d``.  By weak duality ``scale * sum_i weights_i * max(0, gap_i)`` never
+    exceeds what the subtree still pays.  With no productive device left and
+    an infinite ``cap`` (a program without recourse) the scale is infinite: a
+    positive gap can no longer be covered.
     """
-    scales = [cap]
-    for device in reversed(order):
-        weighted = sum([w * a for w, a in zip(weights, coverage_rows[device])])
-        scales.append(min(scales[-1], bundle_prices[device] / weighted) if weighted > 0.0 else scales[-1])
-    return scales[::-1]
+    return list(accumulate((ratios[device] for device in reversed(order)), min, initial=cap))[::-1]
 
 
 def _weighted_gap(needs: Sequence[float], covered: Sequence[float], weights: Sequence[float]) -> float:
@@ -287,27 +324,23 @@ def _counts_by_bound(zero: float, bounds, upper: int) -> Iterator[tuple[float, i
 
 
 def _dfs_bundle_search(
-    order: Sequence[int],
-    upper_bounds: Sequence[int],
-    membership_costs: Sequence[float],
-    bundle_costs: Sequence[float],
-    coverage_rows: Sequence[Sequence[float]],
+    setup: _SearchSetup,
+    w: int,
     needs: Sequence[float],
-    weights: Sequence[float],
-    cap: float,
     leaf_cost: Callable[[list[float]], float | None],
     node_limit: int,
 ) -> _SearchOutcome:
     """Depth-first branch-and-bound over bundle vectors, pruned by an LP-dual bound.
 
-    A node at depth ``d`` with stage-1 cost ``S`` and per-scenario coverage ``c``
-    (carried down the recursion; ``coverage_rows[e]`` is one bundle of device
-    ``e``) has the lower bound ``S + scale_d * sum_i weights_i * max(0, needs_i - c_i)``
-    with the dual scale of :func:`_suffix_scales` (``weights`` are the scenario
-    probabilities and ``cap`` the recourse unit price, or ``[1]`` and infinity
-    for a program without recourse), which prices each bundle left to branch on
-    at :func:`_bundle_prices`.  It is admissible: recourse rounds its gap up,
-    no count exceeds ``upper_bounds``, so a device in use pays at least
+    Searches VSP ``w`` of ``setup``.  A node at depth ``d`` with stage-1 cost
+    ``S`` and per-scenario coverage ``c`` (carried down the recursion;
+    ``setup.rows[w][e]`` is one bundle of device ``e``) has the lower bound
+    ``S + scale_d * sum_i weights_i * max(0, needs_i - c_i)`` with the dual scale
+    of :func:`_suffix_scales` (``weights`` are the scenario probabilities and
+    ``cap`` the recourse unit price, or ``[1]`` and infinity for a program
+    without recourse), which prices each bundle left to branch on at its price
+    in :func:`_search_setup`.  It is admissible: recourse rounds its gap up,
+    no count exceeds its search bound ``U_e``, so a device in use pays at least
     ``m_e / U_e`` of membership per bundle, and weak duality bounds the rest.
     Each node visits its children in order of their bound (:func:`_counts_by_bound`),
     so good incumbents come early, and stops at the first child past the tie
@@ -321,9 +354,10 @@ def _dfs_bundle_search(
     way back up adds the bound of its next child pending, which bounds all its
     children left unexplored.
     """
+    order, coverage_rows, upper_bounds = setup.orders[w], setup.rows[w], setup.upper[w]
+    membership_costs, bundle_costs, weights = setup.memberships, setup.bundle_costs, setup.weights
     num_devices = len(order)
-    prices = _bundle_prices(membership_costs, bundle_costs, upper_bounds)
-    scales = _suffix_scales(order, prices, coverage_rows, weights, cap)
+    scales = _suffix_scales(order, setup.ratios[w], setup.cap)
     best_cost = math.inf
     ceiling = math.inf  # the incumbent plus its tie window
     tied: list[tuple[float, tuple[int, ...]]] = []  # leaves within the window, with their costs
@@ -386,27 +420,6 @@ def _dfs_bundle_search(
     return _SearchOutcome(best_cost, min(vec for _, vec in tied), nodes, exceeded, min(best_cost, frontier))
 
 
-def _exploration_order(
-    bundle_costs: Sequence[float],
-    bundle_sizes: Sequence[int],
-    expected_similarity: Sequence[float],
-) -> list[int]:
-    """Devices ordered by ascending reservation cost per expected relevant unit.
-
-    Cheap-and-relevant devices first tightens incumbents early; zero-relevance
-    devices go last.  The order only affects search speed, never the returned
-    optimum (the lexicographic tie-break is applied in device-index space).
-    """
-
-    def key(e: int):
-        relevant = bundle_sizes[e] * expected_similarity[e]
-        if relevant <= 0.0:
-            return (1, 0.0, e)
-        return (0, bundle_costs[e] / relevant, e)
-
-    return sorted(range(len(bundle_costs)), key=key)
-
-
 def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     """Cost-minimal reservation-only plan for exactly known demand.
 
@@ -416,13 +429,11 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     config = config or SolverConfig()
     devices = dip.devices
     num_devices = len(devices)
-    bundle_costs = [reservation_bundle_cost(dev) for dev in devices]
-    membership_costs = [dev.membership_cost for dev in devices]
-    bundle_sizes = [dev.bundle_size for dev in devices]
-
     requirements = dip.actual_quantity * dip.actual_threshold
     matching = np.where(dip.actual_similarity > 0.0, dip.actual_similarity, math.inf)
-    caps = bundle_caps(requirements, np.array(bundle_sizes, dtype=np.float64), matching)
+    sizes = np.array([dev.bundle_size for dev in devices], dtype=np.float64)
+    caps = bundle_caps(requirements, sizes, matching)
+    setup = _search_setup(devices, dip.actual_similarity[:, :, None], [1.0], math.inf, caps)
 
     bundles = np.zeros((dip.num_vsps, num_devices), dtype=np.int64)
     outcomes = []
@@ -431,30 +442,18 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
         if requirement <= 0.0:
             outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0))
             continue
-        similarity = dip.actual_similarity[w]
-        if not (similarity > 0.0).any():
+        if not (dip.actual_similarity[w] > 0.0).any():
             raise InfeasibleError(
                 w, f"VSP {w}: requirement {requirement} but no device has positive similarity"
             )
         need = float(snap(requirement))
-        order = _exploration_order(bundle_costs, bundle_sizes, similarity)
-        rows = [[size * float(sim)] for size, sim in zip(bundle_sizes, similarity)]
         outcome = _dfs_bundle_search(
-            order,
-            caps[w].tolist(),
-            membership_costs,
-            bundle_costs,
-            rows,
-            [need],
-            [1.0],
-            math.inf,
-            lambda covered: 0.0 if covered[0] >= need else None,
-            config.node_limit,
+            setup, w, [need], lambda covered: 0.0 if covered[0] >= need else None, config.node_limit
         )
         outcomes.append(outcome)
         if outcome.bundles is not None:
             bundles[w] = outcome.bundles
-        if outcome.bundles is None and not outcome.exceeded:
+        elif not outcome.exceeded:
             raise InfeasibleError(
                 w, f"VSP {w}: no bundle vector within the search bounds covers {requirement}"
             )
@@ -488,41 +487,26 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
 
     devices = instance.devices
     num_devices = len(devices)
-    bundle_costs = [reservation_bundle_cost(dev) for dev in devices]
-    membership_costs = [dev.membership_cost for dev in devices]
-    bundle_sizes = [dev.bundle_size for dev in devices]
     cheapest_unit = min(on_demand_unit_cost(dev) for dev in devices)
     probabilities = [scen.probability for scen in instance.scenarios]
     snapped = snapped_requirements(instance)
-    sizes = np.array(bundle_sizes, dtype=np.float64)
-    # accumulated left to right over the scenarios; the exploration order sorts on these exact sums
-    expected_sim = np.zeros((instance.num_vsps, num_devices))
-    for i, p in enumerate(probabilities):
-        expected_sim = expected_sim + p * instance.similarity[:, :, i]
-
-    def solve_vsp(w: int) -> _SearchOutcome:
-        needs = snapped[w].tolist()
-        if all(need <= 0.0 for need in needs):
-            return _SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0)
-        order = _exploration_order(bundle_costs, bundle_sizes, expected_sim[w].tolist())
-        rows = (sizes[:, None] * instance.similarity[w]).tolist()
-        return _dfs_bundle_search(
-            order,
-            instance.bundle_upper_bounds[w].tolist(),
-            membership_costs,
-            bundle_costs,
-            rows,
-            needs,
-            probabilities,
-            cheapest_unit,
-            recourse_cost_fn(needs, probabilities, cheapest_unit),
-            config.node_limit,
-        )
-
-    outcomes = parallel_map(solve_vsp, range(instance.num_vsps))
+    # the search bounds are read only when some VSP has a gap to close
+    setup = (
+        _search_setup(devices, instance.similarity, probabilities, cheapest_unit, instance.bundle_upper_bounds)
+        if (snapped > 0.0).any()
+        else None
+    )
 
     bundles = np.zeros((instance.num_vsps, num_devices), dtype=np.int64)
-    for w, outcome in enumerate(outcomes):
+    outcomes = []
+    for w, needs in enumerate(snapped.tolist()):
+        if all(need <= 0.0 for need in needs):
+            outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0))
+            continue
+        outcome = _dfs_bundle_search(
+            setup, w, needs, recourse_cost_fn(needs, probabilities, cheapest_unit), config.node_limit
+        )
+        outcomes.append(outcome)
         if outcome.bundles is not None:
             bundles[w] = outcome.bundles
 

@@ -3,8 +3,8 @@
 ``bench/tracing.py`` wraps the package's functions by module and binding
 name, so renaming or deleting a module it lists in ``LAYERS`` breaks every
 ``bench/run.py --trace 1`` run.  This test catches that in the package's own
-suite, and a short traced ``sweep`` run must exit cleanly with every check
-passed.
+suite, and short traced ``search`` and ``sweep`` runs must exit cleanly with
+every check passed.
 """
 
 import importlib
@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+import pytest
 
 import semalloc
 from semalloc.similarity import FileEmbeddings
@@ -56,8 +57,9 @@ def test_tracer_installs_on_every_layer_and_restores_every_binding(monkeypatch):
     assert [key for key, value in before.items() if after.get(key) is not value] == []
 
 
-def test_a_traced_sweep_run_passes_every_check():
-    args = ["--workload", "sweep", "--seed", "1", "--seconds", "0.01", "--trace", "1"]
+@pytest.mark.parametrize("workload", ["search", "sweep"])
+def test_a_traced_run_passes_every_check(workload):
+    args = ["--workload", workload, "--seed", "1", "--seconds", "0.01", "--trace", "1"]
     run = subprocess.run(
         [sys.executable, str(BENCH / "run.py"), *args],
         cwd=BENCH.parent, capture_output=True, text=True, timeout=600,

@@ -42,7 +42,9 @@ class TestParseGrid:
     def test_single_value(self):
         assert parse_grid("0.25") == (0.25,)
 
-    @pytest.mark.parametrize("bad", ["", "1:0:0.1", "0:1:0", "a:b:c", "3,2,1", "1,1"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1:0:0.1", "0:1:0", "a:b:c", "3,2,1", "1,1", "0:inf:1", "0:1:inf", "-inf:0:1"]
+    )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigurationError):
             parse_grid(bad)
@@ -255,6 +257,15 @@ class TestSweepProbability:
         )
         assert result.exit_code != 0
         assert "2 scenarios" in result.output or "2 scenarios" in (result.stderr or "")
+
+    def test_json_errors_for_a_non_finite_grid_range(self, runner):
+        problem = str(sm.data_file("singapore_demo.json"))
+        result = runner.invoke(main, ["--json-errors", "sweep-probability", "--problem", problem, "--grid", "0:inf:1"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {
+            "error": "grid must be 'a:b:step' or comma-separated numbers, got '0:inf:1'",
+            "type": "ConfigurationError",
+        }
 
     def test_rejects_grid_outside_unit_interval(self, runner):
         result = runner.invoke(

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,13 +35,15 @@ from semalloc.errors import ConfigurationError
 from semalloc.recourse import shortfalls, snapped_requirements
 from semalloc.solvers import (
     TIE_REL,
-    _bundle_prices,
     _child_bounds,
     _counts_by_bound,
+    _search_setup,
     _suffix_scales,
     _weighted_gap,
 )
 from test_recourse import build_instance, device_with_unit_cost, repro_instance
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def make_dip(similarity, quantities, thresholds=None, bundle_size=200, membership=1.89):
@@ -182,6 +186,11 @@ class TestSolveDip:
             solve_dip(dip)
         assert err.value.vsp == 1
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.5, 1.5])
+    def test_rejects_a_threshold_outside_the_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match=r"actual_threshold entries must lie in \[0, 1\]"):
+            make_dip([[0.72]], [200], thresholds=[threshold])
+
     def test_fractional_quantity_accepted(self):
         dip = make_dip([[1.0]], [50.5], bundle_size=100)
         assert solve_dip(dip).plan.bundles.tolist() == [[1]]
@@ -264,6 +273,13 @@ class TestSolveSip:
     def test_no_demand_scenario_certain_costs_nothing(self, singapore):
         solution = solve_sip(sm.with_probabilities(singapore, [1.0, 0.0]))
         assert solution.cost.total == 0.0
+
+    def test_a_requirement_under_the_snap_tolerance_needs_no_search_bound(self):
+        # 1e-10 snaps to no gap, while 1e-10 / (5 * 1e-31) bundles bound nothing
+        inst = bound_instance([5], [[1]], [[1e-10]], [[[1e-31]]])
+        with pytest.raises(ConfigurationError, match="too small to bound its bundle count"):
+            inst.bundle_upper_bounds
+        assert solve_sip(inst).plan.bundles.tolist() == [[0]]
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(99)
@@ -691,6 +707,100 @@ def _tie_rule_plan(plans: np.ndarray, instance: sm.ProblemInstance, covering_onl
     return best, min(tied)
 
 
+def _former_rules(devices, expected_similarity, similarity, weights, cap, upper):
+    """``(order, scales, rows)`` of every VSP by the per-VSP Python rules the set-up replaced.
+
+    Order: ascending ``b_e / (size_e * expected_similarity[w, e])``, devices with
+    no relevant unit last, ties by index.  Price: ``b_e + m_e / U_e``, or
+    ``b_e`` where ``U_e = 0``.  Scales: a running minimum, from the deepest
+    depth up, of ``price_e / sum_i weights_i * a_ei`` over the devices whose
+    sum is positive, starting at ``cap``; each sum is Python's ``sum`` of a list.
+    """
+    bundle_costs = [reservation_bundle_cost(dev) for dev in devices]
+    memberships = [dev.membership_cost for dev in devices]
+    sizes = [dev.bundle_size for dev in devices]
+    result = []
+    for w in range(len(similarity)):
+        relevance = expected_similarity[w].tolist()
+
+        def key(e):
+            relevant = sizes[e] * relevance[e]
+            return (1, 0.0, e) if relevant <= 0.0 else (0, bundle_costs[e] / relevant, e)
+
+        order = sorted(range(len(devices)), key=key)
+        rows = (np.array(sizes, dtype=np.float64)[:, None] * similarity[w]).tolist()
+        prices = [b + m / u if u else b for m, b, u in zip(memberships, bundle_costs, upper[w].tolist())]
+        scales = [cap]
+        for device in reversed(order):
+            weighted = sum([p * a for p, a in zip(weights, rows[device])])
+            scales.append(min(scales[-1], prices[device] / weighted) if weighted > 0.0 else scales[-1])
+        result.append((order, scales[::-1], rows))
+    return result
+
+
+def _assert_setup_is_the_former_rules(devices, similarity, weights, cap, upper, expected_similarity=None):
+    """``_search_setup`` gives the former orders, scales at every depth and rows, ``==`` equal."""
+    if expected_similarity is None:  # SIP's expected similarity, accumulated scenario by scenario
+        expected_similarity = np.zeros(similarity.shape[:2])
+        for i, p in enumerate(weights):
+            expected_similarity = expected_similarity + p * similarity[:, :, i]
+    setup = _search_setup(devices, similarity, weights, cap, upper)
+    former = _former_rules(devices, expected_similarity, similarity, weights, cap, upper)
+    for w, (order, scales, rows) in enumerate(former):
+        assert setup.orders[w] == order
+        assert _suffix_scales(setup.orders[w], setup.ratios[w], cap) == scales
+        assert setup.rows[w] == rows
+
+
+class TestSearchSetup:
+    """The numpy set-up keeps every bit of the per-VSP orders, prices and dual scales it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        decimal=st.booleans(),
+        uncapped=st.booleans(),
+        drawn_bounds=st.booleans(),
+    )
+    def test_equals_the_former_per_vsp_rules(self, seed, decimal, uncapped, drawn_bounds):
+        # dyadic instances with up to four VSPs, or hundredths-grid ones whose sums round
+        rng = np.random.default_rng(seed)
+        inst = make_decimal_instance(rng) if decimal else make_random_instance(rng, 4, 5, 4)
+        cap = math.inf if uncapped else min(on_demand_unit_cost(dev) for dev in inst.devices)
+        upper = rng.integers(0, 3, size=inst.bundle_upper_bounds.shape) if drawn_bounds else inst.bundle_upper_bounds
+        _assert_setup_is_the_former_rules(inst.devices, inst.similarity, list(inst.probabilities), cap, upper)
+
+    @pytest.mark.parametrize("cap", [0.25, math.inf], ids=["capped", "uncapped"])
+    def test_edge_cases_equal_the_former_rules(self, cap):
+        # device 1 has no relevant unit for VSP 1; devices 2 and 3 have U_e = 0, without and with membership
+        base = make_dip([[0.5]], [1]).devices[0]
+        devices = tuple(
+            dataclasses.replace(base, id=e, uplink_rate=rate, membership_cost=membership, bundle_size=size)
+            for e, (rate, membership, size) in enumerate(
+                [(1.5e6, 0.05, 7), (2.5e6, 0.0, 5), (3.5e6, 0.0, 9), (1.5e6, 0.13, 6)]
+            )
+        )
+        similarity = np.array(
+            [
+                [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],  # VSP 0: no positive similarity
+                [[0.31, 0.07], [0.0, 0.0], [0.93, 0.41], [0.17, 0.6]],
+            ]
+        )
+        upper = np.array([[0, 0, 0, 0], [4, 0, 0, 0]])
+        _assert_setup_is_the_former_rules(devices, similarity, [0.37, 0.63], cap, upper)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), decimal=st.booleans())
+    def test_dip_form_equals_the_former_rules(self, seed, decimal):
+        # DIP ordered on the raw similarity row, with one weight of 1 and no recourse price
+        rng = np.random.default_rng(seed)
+        inst = make_decimal_instance(rng, max_scenarios=1) if decimal else make_random_instance(rng, 4, 5, 1)
+        dip = dip_from_instance(inst)
+        caps = rng.integers(0, 3, size=dip.actual_similarity.shape)
+        similarity = dip.actual_similarity[:, :, None]
+        _assert_setup_is_the_former_rules(dip.devices, similarity, [1.0], math.inf, caps, dip.actual_similarity)
+
+
 class TestRecourseBound:
     """The LP-dual bound of the search never prunes a count that could still win."""
 
@@ -706,7 +816,8 @@ class TestRecourseBound:
         unit = min(on_demand_unit_cost(dev) for dev in devices)
         probabilities = list(inst.probabilities)
         ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
-        scales = _suffix_scales(order, _bundle_prices(memberships, bundle_costs, ubs), rows, probabilities, unit)
+        ratios = _search_setup(devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds).ratios[0]
+        scales = _suffix_scales(order, ratios, unit)
         needs = snapped_requirements(inst)[0].tolist()
 
         plans = _lattice_plans(inst)
@@ -748,9 +859,8 @@ class TestRecourseBound:
         rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
         probabilities = list(inst.probabilities)
         cap = min(on_demand_unit_cost(dev) for dev in devices) if recourse else math.inf
-        memberships = [dev.membership_cost for dev in devices]
-        ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
-        scales = _suffix_scales(order, _bundle_prices(memberships, bundle_costs, ubs), rows, probabilities, cap)
+        ratios = _search_setup(devices, inst.similarity, probabilities, cap, inst.bundle_upper_bounds).ratios[0]
+        scales = _suffix_scales(order, ratios, cap)
         needs = snapped_requirements(inst)[0].tolist()
         depth = data.draw(st.integers(0, inst.num_devices - 1), label="depth")
         stage1, covered = 0.0, [0.0] * inst.num_scenarios
@@ -803,7 +913,8 @@ class TestRecourseBound:
         unit = min(on_demand_unit_cost(dev) for dev in devices)
         probabilities = list(inst.probabilities)
         ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
-        scales = _suffix_scales(order, _bundle_prices(memberships, bundle_costs, ubs), rows, probabilities, unit)
+        ratios = _search_setup(devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds).ratios[0]
+        scales = _suffix_scales(order, ratios, unit)
         needs = snapped_requirements(inst)[0].tolist()
 
         # the lattice reaches U_e + 1, but those counts are dominated, so the minimum lies in k <= U
@@ -847,12 +958,13 @@ class TestRecourseBound:
         assert tuple(solution.plan.bundles[0].tolist()) == expected
 
 
-def hard_instance(seed: int) -> sm.ProblemInstance:
+def hard_instance(seed: int, num_devices: int = 9, num_scenarios: int = 3) -> sm.ProblemInstance:
     """One VSP, nine devices, three scenarios: the family that hit the node budget.
 
     Quantity 400-599, thresholds 0.5-1.0 and similarity 0.05-0.99 on the
     hundredths grid, bundle size 5-10: hundreds of counts per device, so a
-    search pruned on stage-1 cost alone runs out of 10 000 nodes.
+    search pruned on stage-1 cost alone runs out of 10 000 nodes.  Wider
+    members of the family take more devices and scenarios.
     """
     rng = np.random.default_rng(seed)
 
@@ -870,16 +982,17 @@ def hard_instance(seed: int) -> sm.ProblemInstance:
             alpha_reservation=5.0,
             alpha_on_demand=15.0,
         )
-        for e in range(9)
+        for e in range(num_devices)
     )
-    cuts = np.sort(rng.choice(np.arange(1, 100), size=2, replace=False))
+    cuts = np.sort(rng.choice(np.arange(1, 100), size=num_scenarios - 1, replace=False))
     scenarios = tuple(
         sm.DemandScenario(
             float(p), (sm.VspDemand("k", int(rng.integers(400, 600)), float(hundredths(0.5, 1.0))),)
         )
         for p in np.diff(cuts, prepend=0, append=100) / 100
     )
-    return sm.ProblemInstance(devices, (sm.Vsp(0),), scenarios, hundredths(0.05, 0.99, size=(1, 9, 3)))
+    similarity = hundredths(0.05, 0.99, size=(1, num_devices, num_scenarios))
+    return sm.ProblemInstance(devices, (sm.Vsp(0),), scenarios, similarity)
 
 
 class TestScalingWall:
@@ -904,6 +1017,19 @@ class TestScalingWall:
     def test_every_hard_instance_solves_within_one_thousand_nodes(self):
         for seed in range(40):
             solve_sip(hard_instance(seed), SolverConfig(node_limit=1_000))
+
+    @pytest.mark.parametrize("seed, num_devices, num_scenarios", [(0, 40, 8), (2, 34, 8), (3, 28, 6), (4, 20, 4)])
+    def test_wide_hard_instances_match_highs_and_beat_the_expected_value_plan(
+        self, monkeypatch, seed, num_devices, num_scenarios
+    ):
+        # an independent MILP optimum well beyond the lattices the enumeration tests reach
+        pytest.importorskip("scipy")
+        monkeypatch.syspath_prepend(str(BENCH))
+        oracle = importlib.import_module("oracle")
+        inst = hard_instance(seed, num_devices, num_scenarios)
+        total = solve_sip(inst).cost.total
+        assert total == pytest.approx(oracle.highs_total(inst), rel=TIE_REL)
+        assert total <= sm.solve_evf(inst).cost.total * (1 + TIE_REL)  # RP <= EEV
 
 
 def _every_cut(solve):
