@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import ProblemInstance
-from .recourse import ReservationPlan, Solution, evaluate_many, evaluate_total
+from .recourse import ReservationPlan, Solution, _ordered_sum, evaluate_many, evaluate_total
 from .solvers import DipInstance, SolverConfig, solve_dip
 
 
@@ -58,11 +58,9 @@ def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> 
     by scenario in index order.  Infeasibility of the averaged program
     propagates unchanged.
     """
-    avg_requirement = np.zeros(instance.num_vsps)
-    avg_similarity = np.zeros((instance.num_vsps, instance.num_devices))
-    for i, scen in enumerate(instance.scenarios):
-        avg_requirement = avg_requirement + scen.probability * instance.requirements[:, i]
-        avg_similarity = avg_similarity + scen.probability * instance.similarity[:, :, i]
+    probabilities = instance.probabilities
+    avg_requirement = _ordered_sum(probabilities * instance.requirements)
+    avg_similarity = _ordered_sum(probabilities * instance.similarity)
     dip = DipInstance(
         devices=instance.devices,
         actual_similarity=avg_similarity,

@@ -247,7 +247,7 @@ def solve(ctx, problem: Path, scheme: str, seed: int, samples: int, node_limit: 
     """Solve a problem and print the cost breakdown."""
     with _reported_errors(ctx):
         instance = load_problem(problem)
-        config = SolverConfig(node_limit=node_limit) if node_limit else SolverConfig()
+        config = SolverConfig(node_limit=node_limit) if node_limit is not None else SolverConfig()
         if scheme == "random":
             result = solve_random(instance, RandomSchemeConfig(seed=seed, samples=samples))
             payload = random_summary_dict(result)

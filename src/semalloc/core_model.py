@@ -11,12 +11,14 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 PROBABILITY_SUM_TOL = 1e-9
+SHORTFALL_TOL = 1e-9  # relative window within which a coverage gap counts as closed
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -190,6 +192,23 @@ class ProblemInstance:
         return matrix
 
     @cached_property
+    def pricing(self) -> Pricing:
+        """Read-only pricing table that every evaluation and search of this instance reads.
+
+        Built on first use, from the devices, the similarity tensor and the
+        requirements; an instance derived by :func:`with_probabilities` or
+        :func:`scale_on_demand_cost` builds its own.
+        """
+        prices = device_prices(self.devices)
+        unit_prices = [on_demand_unit_cost(dev) for dev in self.devices]
+        cheapest = min(range(len(unit_prices)), key=lambda e: (unit_prices[e], e))
+        coverage = prices.sizes[:, None] * self.similarity
+        snapped = snap(self.requirements)
+        for array in (coverage, snapped):
+            array.setflags(write=False)
+        return Pricing(*prices, cheapest, unit_prices[cheapest], coverage, snapped)
+
+    @cached_property
     def bundle_upper_bounds(self) -> np.ndarray:
         """Read-only int64 ``(vsp, device)`` search bounds: the most bundles any optimal plan buys.
 
@@ -199,10 +218,33 @@ class ProblemInstance:
         losing feasibility or raising cost.  Zero where the device never
         matches the interest or demand is zero in every scenario.
         """
-        sizes = np.array([dev.bundle_size for dev in self.devices], dtype=np.float64)
-        matrix = bundle_caps(self.max_requirement, sizes, self.least_positive_similarity)
+        matrix = bundle_caps(self.max_requirement, self.pricing.sizes, self.least_positive_similarity)
         matrix.setflags(write=False)
         return matrix
+
+
+class DevicePrices(NamedTuple):
+    """Read-only float64 ``(device,)`` arrays of a device set, from :func:`device_prices`."""
+
+    sizes: np.ndarray  # bundle sizes
+    memberships: np.ndarray  # membership fees
+    bundle_prices: np.ndarray  # reserved bundle prices
+
+
+class Pricing(NamedTuple):
+    """An instance's pricing table (:attr:`ProblemInstance.pricing`); its arrays are read-only.
+
+    It starts with the fields of :class:`DevicePrices`, so it serves wherever
+    those are read.
+    """
+
+    sizes: np.ndarray
+    memberships: np.ndarray
+    bundle_prices: np.ndarray
+    cheapest: int  # on-demand device: lowest unit price, ties to the lowest index
+    unit_price: float  # its on-demand unit price
+    coverage: np.ndarray  # (vsp, device, scenario): size_e * similarity, one bundle's coverage
+    snapped: np.ndarray  # (vsp, scenario): the requirements lowered by :func:`snap`
 
 
 @dataclass(frozen=True)
@@ -256,6 +298,18 @@ def reservation_bundle_cost(device: EdgeDevice) -> float:
     )
 
 
+def device_prices(devices: Sequence[EdgeDevice]) -> DevicePrices:
+    """Bundle sizes, membership fees and bundle prices of ``devices``, in device order."""
+    prices = DevicePrices(
+        np.array([dev.bundle_size for dev in devices], dtype=np.float64),
+        np.array([dev.membership_cost for dev in devices], dtype=np.float64),
+        np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64),
+    )
+    for array in prices:
+        array.setflags(write=False)
+    return prices
+
+
 def on_demand_unit_cost(device: EdgeDevice) -> float:
     """Price of one on-demand transmission: energy for one average payload at the on-demand rate."""
     return (
@@ -264,6 +318,16 @@ def on_demand_unit_cost(device: EdgeDevice) -> float:
         / device.uplink_rate
         * device.alpha_on_demand
     )
+
+
+def snap(requirement):
+    """Requirement (scalar or array) lowered by ``SHORTFALL_TOL * max(1, requirement)``.
+
+    Coverage is a float sum, so an exact cover, or a whole-unit gap, can be off
+    by a rounding error; measured against the snapped requirement, such a gap
+    rounds to its integer instead of buying a phantom on-demand unit.
+    """
+    return requirement - SHORTFALL_TOL * np.maximum(1.0, requirement)
 
 
 def bundle_caps(requirements: np.ndarray, bundle_sizes: np.ndarray, similarity: np.ndarray) -> np.ndarray:

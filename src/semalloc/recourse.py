@@ -4,7 +4,11 @@ The expected on-demand cost is linear with non-negative coefficients and the
 coverage constraint counts on-demand units without similarity weighting, so
 for each (vsp, scenario) the optimum buys the entire integer shortfall from
 the single cheapest device.  That closed form makes the recourse function
-exact and cheap to evaluate inside the first-stage search.
+exact and cheap to evaluate inside the first-stage search.  Every function
+here prices an instance from its one cached table,
+:attr:`~semalloc.core_model.ProblemInstance.pricing`: the per-device prices,
+the cheapest on-demand device, one bundle's coverage and the snapped
+requirements.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ import numpy as np
 
 from .core_model import (
     CostBreakdown,
+    DevicePrices,
     EdgeDevice,
+    Pricing,
     ProblemInstance,
-    on_demand_unit_cost,
-    reservation_bundle_cost,
+    device_prices,
+    snap,  # re-exported: the requirement snap shortfalls are measured against
 )
-
-SHORTFALL_TOL = 1e-9  # relative window within which a coverage gap counts as closed
 
 
 def _frozen_int_array(values, shape_name: str, ndim: int) -> np.ndarray:
@@ -90,42 +94,51 @@ class Solution:
 
 def cheapest_device(instance: ProblemInstance) -> int:
     """Device with the lowest on-demand unit cost; ties go to the lowest index."""
-    costs = [on_demand_unit_cost(dev) for dev in instance.devices]
-    return min(range(len(costs)), key=lambda e: (costs[e], e))
-
-
-def snap(requirement):
-    """Requirement (scalar or array) lowered by ``SHORTFALL_TOL * max(1, requirement)``.
-
-    Coverage is a float sum, so an exact cover, or a whole-unit gap, can be off
-    by a rounding error; measured against the snapped requirement, such a gap
-    rounds to its integer instead of buying a phantom on-demand unit.
-    """
-    return requirement - SHORTFALL_TOL * np.maximum(1.0, requirement)
+    return instance.pricing.cheapest
 
 
 def snapped_requirements(instance: ProblemInstance) -> np.ndarray:
-    """Snapped requirements of every VSP, indexed (vsp, scenario)."""
-    return snap(instance.requirements)
+    """Read-only snapped requirements (:func:`snap`) of every VSP, indexed (vsp, scenario)."""
+    return instance.pricing.snapped
+
+
+def _check_counts(counts: np.ndarray, instance: ProblemInstance, ndims: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``counts`` is a non-negative plan, or stack of plans, of ``instance``.
+
+    ``ndims`` lists the accepted ranks: 2 for one ``(vsp, device)`` plan, 3
+    for an ``(n, vsp, device)`` stack.
+    """
+    plan_shape = (instance.num_vsps, instance.num_devices)
+    if counts.ndim not in ndims or counts.shape[-2:] != plan_shape:
+        shapes = {2: str(plan_shape), 3: "(n, {}, {})".format(*plan_shape)}
+        expected = " or ".join(shapes[ndim] for ndim in ndims)
+        raise ValueError(f"bundles must have shape {expected}, got {counts.shape}")
+    if (counts < 0).any():
+        raise ValueError("bundle counts must be non-negative")
 
 
 def shortfalls(bundles, instance: ProblemInstance) -> np.ndarray:
     """Minimum integer on-demand volume per (vsp, scenario) for a (vsp, device) bundle matrix.
 
     Reserved coverage counts bundle transmissions scaled by the similarity
-    score; the gap to the snapped requirement is rounded up because purchases
-    are whole transmissions.  ``bundles`` may also be a stack ``(n, vsp,
-    device)`` of plans, giving ``(n, vsp, scenario)``.  Coverage is summed
-    device by device in index order, so a plan's shortfalls do not depend on
-    the other plans in its stack.
+    score (the table's ``coverage``); the gap to the snapped requirement is
+    rounded up because purchases are whole transmissions.  ``bundles`` may
+    also be a stack ``(n, vsp, device)`` of plans, giving ``(n, vsp,
+    scenario)``.  Coverage is summed device by device in index order, so a
+    plan's shortfalls do not depend on the other plans in its stack.  A plan
+    of the wrong shape, or with a negative count, is a ``ValueError``.
     """
     counts = np.asarray(bundles, dtype=np.float64)
-    sizes = np.array([dev.bundle_size for dev in instance.devices], dtype=np.float64)
-    per_bundle = sizes[:, None] * instance.similarity  # (vsp, device, scenario)
-    coverage = np.zeros(counts.shape[:-1] + (instance.num_scenarios,))
-    for e in range(instance.num_devices):
-        coverage += counts[..., e, None] * per_bundle[:, e, :]
-    gap = np.maximum(0.0, snapped_requirements(instance) - coverage)
+    _check_counts(counts, instance, (2, 3))
+    return _shortfalls(counts, instance.pricing)
+
+
+def _shortfalls(counts: np.ndarray, pricing: Pricing) -> np.ndarray:
+    """:func:`shortfalls` of checked counts."""
+    coverage = np.zeros(counts.shape[:-1] + (pricing.snapped.shape[1],))
+    for e in range(counts.shape[-1]):
+        coverage += counts[..., e, None] * pricing.coverage[:, e, :]
+    gap = np.maximum(0.0, pricing.snapped - coverage)
     return np.ceil(gap).astype(np.int64)
 
 
@@ -176,11 +189,14 @@ def stage1_costs(bundles: np.ndarray, devices: Sequence[EdgeDevice]) -> tuple[np
     bundles are.  A (vsp, device) with no bundles adds zero, which leaves the
     partial sum as it was.
     """
-    fees = np.array([dev.membership_cost for dev in devices], dtype=np.float64)
-    prices = np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64)
+    return _stage1_costs(bundles, device_prices(devices))
+
+
+def _stage1_costs(bundles: np.ndarray, prices: DevicePrices | Pricing) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stage1_costs` with the device set's prices already built."""
     flat = (bundles.shape[0], bundles.shape[1] * bundles.shape[2])
-    membership = _ordered_sum(((bundles >= 1) * fees).reshape(flat))
-    return membership, _ordered_sum((bundles * prices).reshape(flat))
+    membership = _ordered_sum(((bundles >= 1) * prices.memberships).reshape(flat))
+    return membership, _ordered_sum((bundles * prices.bundle_prices).reshape(flat))
 
 
 def optimal_recourse(plan: ReservationPlan, instance: ProblemInstance) -> RecourseDecision:
@@ -188,11 +204,16 @@ def optimal_recourse(plan: ReservationPlan, instance: ProblemInstance) -> Recour
 
     Every (vsp, scenario) shortfall lands on the cheapest device.  Splits
     across equally cheap devices would cost the same; the canonical assignment
-    keeps output deterministic.
+    keeps output deterministic.  A plan of the wrong shape is a ``ValueError``.
     """
-    num_vsps, num_devices = plan.bundles.shape
-    tensor = np.zeros((num_vsps, num_devices, instance.num_scenarios), dtype=np.int64)
-    tensor[:, cheapest_device(instance), :] = shortfalls(plan.bundles, instance)
+    _check_counts(plan.bundles, instance, (2,))
+    return _on_demand(_shortfalls(plan.bundles, instance.pricing), instance)
+
+
+def _on_demand(short: np.ndarray, instance: ProblemInstance) -> RecourseDecision:
+    """The recourse tensor that buys each (vsp, scenario) shortfall of ``short`` from the cheapest device."""
+    tensor = np.zeros((instance.num_vsps, instance.num_devices, instance.num_scenarios), dtype=np.int64)
+    tensor[:, instance.pricing.cheapest, :] = short
     return RecourseDecision(tensor)
 
 
@@ -208,16 +229,15 @@ def evaluate_many(bundles, instance: ProblemInstance) -> PlanCosts:
     a stack of one or of many, and no per-plan recourse tensor is built.
     """
     counts = np.asarray(bundles, dtype=np.int64)
-    if counts.ndim != 3 or counts.shape[1:] != (instance.num_vsps, instance.num_devices):
-        raise ValueError(
-            f"bundles must have shape (n, {instance.num_vsps}, {instance.num_devices}), got {counts.shape}"
-        )
-    if (counts < 0).any():
-        raise ValueError("bundle counts must be non-negative")
-    membership_total, reservation_total = stage1_costs(counts, instance.devices)
+    _check_counts(counts, instance, (3,))
+    return _plan_costs(counts, _shortfalls(counts, instance.pricing), instance)
 
-    unit_cost = on_demand_unit_cost(instance.devices[cheapest_device(instance)])
-    units = shortfalls(counts, instance) * unit_cost  # (n, vsp, scenario)
+
+def _plan_costs(counts: np.ndarray, short: np.ndarray, instance: ProblemInstance) -> PlanCosts:
+    """:func:`evaluate_many` of checked counts whose shortfalls are ``short``."""
+    pricing = instance.pricing
+    membership_total, reservation_total = _stage1_costs(counts, pricing)
+    units = short * pricing.unit_price  # (n, vsp, scenario)
     scenario_costs = _ordered_sum(units.transpose(0, 2, 1))  # (n, scenario), summed vsp by vsp
     expected = _ordered_sum(instance.probabilities * scenario_costs)
 
@@ -226,14 +246,16 @@ def evaluate_many(bundles, instance: ProblemInstance) -> PlanCosts:
 
 
 def evaluate_total(plan: ReservationPlan, instance: ProblemInstance) -> Solution:
-    """Full objective value of one plan: :func:`evaluate_many` on a stack of one.
+    """Full objective value of one plan, with the bits :func:`evaluate_many` gives it in any stack.
 
     Membership is normalized to exactly the devices with bundles; paying a
-    membership without bundles buys nothing.  The returned solution carries
-    the optimal recourse tensor and the same cost bits the plan has in any
-    :func:`evaluate_many` stack.
+    membership without bundles buys nothing.  The plan's shortfalls are
+    computed once, from the instance's pricing table, and give both the cost
+    breakdown and the optimal recourse tensor of the returned solution.
     """
     normalized = ReservationPlan.from_bundles(plan.bundles)
-    costs = evaluate_many(normalized.bundles[None], instance)
-    cost = CostBreakdown(*(float(column[0]) for column in costs))
-    return Solution(plan=normalized, recourse=optimal_recourse(normalized, instance), cost=cost)
+    counts = normalized.bundles[None]
+    _check_counts(counts, instance, (3,))
+    short = _shortfalls(counts, instance.pricing)
+    cost = CostBreakdown(*(float(column[0]) for column in _plan_costs(counts, short, instance)))
+    return Solution(plan=normalized, recourse=_on_demand(short[0], instance), cost=cost)

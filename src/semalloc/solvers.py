@@ -19,9 +19,10 @@ win, or tie, the incumbent.  DIP uses the same search with an uncapped price,
 which prunes every subtree that can no longer cover its gap.  Both programs
 build their search data (exploration orders, bundle prices, dual ratios and
 coverage rows) for every VSP at once in one numpy set-up,
-:func:`_search_setup`.  Among equal-cost optima the lexicographically smallest
-bundle vector by device index is returned, which keeps results reproducible
-regardless of the exploration order heuristic.
+:func:`_priced_search_setup`; SIP's reads the instance's pricing table.  Among
+equal-cost optima the lexicographically smallest bundle vector by device index
+is returned, which keeps results reproducible regardless of the exploration
+order heuristic.
 """
 
 from __future__ import annotations
@@ -35,11 +36,13 @@ import numpy as np
 
 from .core_model import (
     CostBreakdown,
+    DevicePrices,
     EdgeDevice,
+    Pricing,
     ProblemInstance,
     bundle_caps,
-    on_demand_unit_cost,
-    reservation_bundle_cost,
+    device_prices,
+    snap,
     validate_instance,
 )
 from .errors import InfeasibleError, NodeLimitError, ValidationFailure
@@ -47,12 +50,11 @@ from .recourse import (
     RecourseDecision,
     ReservationPlan,
     Solution,
+    _ordered_sum,
+    _stage1_costs,
     evaluate_many,
     evaluate_total,
     recourse_cost_fn,
-    snap,
-    snapped_requirements,
-    stage1_costs,
 )
 
 # Costs within TIE_REL * best cost of the incumbent count as tied, a window
@@ -128,7 +130,7 @@ class _SearchOutcome:
 
 
 class _SearchSetup(NamedTuple):
-    """Every VSP's search data from :func:`_search_setup`, as plain lists the DFS indexes."""
+    """Every VSP's search data from :func:`_priced_search_setup`, as plain lists the DFS indexes."""
 
     orders: list[list[int]]  # (vsp, depth): the device branched on at each depth
     ratios: list[list[float]]  # (vsp, device): p_e / sum_i weights_i * a_ei, inf where the sum is 0
@@ -143,11 +145,27 @@ class _SearchSetup(NamedTuple):
 def _search_setup(
     devices: Sequence[EdgeDevice], similarity: np.ndarray, weights: Sequence[float], cap: float, upper: np.ndarray
 ) -> _SearchSetup:
+    """:func:`_priced_search_setup` of a device set without a pricing table, such as DIP's."""
+    prices = device_prices(devices)
+    return _priced_search_setup(prices, prices.sizes[:, None] * similarity, similarity, weights, cap, upper)
+
+
+def _priced_search_setup(
+    prices: DevicePrices | Pricing,
+    rows: np.ndarray,
+    similarity: np.ndarray,
+    weights: Sequence[float],
+    cap: float,
+    upper: np.ndarray,
+) -> _SearchSetup:
     """Exploration order, dual ratios and coverage rows of every VSP's search, built at once.
 
-    ``similarity`` is ``(vsp, device, scenario)`` and ``upper`` the ``(vsp,
-    device)`` search bounds.  One bundle of device ``e`` covers ``a_ei =
-    size_e * similarity[w, e, i]`` in scenario ``i``.
+    ``prices`` are the devices' per-device arrays (an instance's
+    :class:`~semalloc.core_model.Pricing` table serves), ``similarity`` is
+    ``(vsp, device, scenario)`` and ``upper`` the ``(vsp, device)`` search
+    bounds.  One bundle of device ``e`` covers ``a_ei = size_e *
+    similarity[w, e, i]`` in scenario ``i``: ``rows[w, e, i]``, the table's
+    ``coverage``.
 
     - **Order.**  Devices by ascending reservation cost per expected relevant
       unit, ``b_e / (size_e * sum_i weights_i * similarity[w, e, i])``, ties
@@ -164,24 +182,20 @@ def _search_setup(
       is 0: the largest dual scale at which device ``e`` buys no coverage
       below its price.  :func:`_suffix_scales` takes their running minimum.
 
-    Every weighted sum runs over the scenarios left to right from 0.0, one
-    ``acc + weights_i * x[..., i]`` per scenario, so orders and ratios have
-    the bits of the per-VSP sums they stand for.
+    Every weighted sum runs over the scenarios left to right from 0.0
+    (:func:`~semalloc.recourse._ordered_sum`), so orders and ratios have the
+    bits of the per-VSP sums they stand for.
     """
-    bundle_costs = np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64)
-    memberships = np.array([dev.membership_cost for dev in devices], dtype=np.float64)
-    sizes = np.array([dev.bundle_size for dev in devices], dtype=np.float64)
-    rows = sizes[:, None] * similarity
-    expected = weighted = np.zeros(similarity.shape[:2])
-    for i, weight in enumerate(weights):
-        expected = expected + weight * similarity[:, :, i]
-        weighted = weighted + weight * rows[:, :, i]
+    sizes, memberships, bundle_costs = prices.sizes, prices.memberships, prices.bundle_prices
+    scenario_weights = np.asarray(weights, dtype=np.float64)
+    expected = _ordered_sum(scenario_weights * similarity)
+    weighted = _ordered_sum(scenario_weights * rows)
     relevant = sizes * expected
     idle = relevant <= 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         per_unit = np.where(idle, 0.0, bundle_costs / relevant)
-        prices = np.where(upper > 0, bundle_costs + memberships / upper, bundle_costs)
-        ratios = np.where(weighted > 0.0, prices / weighted, math.inf)
+        lp_prices = np.where(upper > 0, bundle_costs + memberships / upper, bundle_costs)
+        ratios = np.where(weighted > 0.0, lp_prices / weighted, math.inf)
     orders = np.lexsort((per_unit, idle))  # stable: equal keys keep device-index order
     arrays = (orders, ratios, rows, upper, memberships, bundle_costs)
     return _SearchSetup(*(array.tolist() for array in arrays), list(weights), cap)
@@ -191,8 +205,8 @@ def _suffix_scales(order: Sequence[int], ratios: Sequence[float], cap: float) ->
     """Dual scale of the remaining coverage gaps at every depth ``0..len(order)``.
 
     Scale ``d`` is ``min(cap, min over e in order[d:] of ratios[e])``, with the
-    ratios of :func:`_search_setup`.  Pricing a unit of scenario ``i``'s gap
-    at ``scale * weights_i`` costs at most the recourse price ``cap`` per
+    ratios of :func:`_priced_search_setup`.  Pricing a unit of scenario ``i``'s
+    gap at ``scale * weights_i`` costs at most the recourse price ``cap`` per
     weighted unit and lets no device left to branch on buy coverage below its
     bundle price: a feasible dual of the LP relaxation of the subtree at depth
     ``d``.  By weak duality ``scale * sum_i weights_i * max(0, gap_i)`` never
@@ -431,8 +445,8 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     num_devices = len(devices)
     requirements = dip.actual_quantity * dip.actual_threshold
     matching = np.where(dip.actual_similarity > 0.0, dip.actual_similarity, math.inf)
-    sizes = np.array([dev.bundle_size for dev in devices], dtype=np.float64)
-    caps = bundle_caps(requirements, sizes, matching)
+    prices = device_prices(devices)
+    caps = bundle_caps(requirements, prices.sizes, matching)
     setup = _search_setup(devices, dip.actual_similarity[:, :, None], [1.0], math.inf, caps)
 
     bundles = np.zeros((dip.num_vsps, num_devices), dtype=np.int64)
@@ -458,7 +472,7 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
                 w, f"VSP {w}: no bundle vector within the search bounds covers {requirement}"
             )
 
-    membership_total, reservation_total = stage1_costs(bundles[None], devices)
+    membership_total, reservation_total = _stage1_costs(bundles[None], prices)
     solution = Solution(
         ReservationPlan.from_bundles(bundles),
         RecourseDecision(np.zeros((dip.num_vsps, num_devices, 1), dtype=np.int64)),
@@ -487,19 +501,21 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
 
     devices = instance.devices
     num_devices = len(devices)
-    cheapest_unit = min(on_demand_unit_cost(dev) for dev in devices)
+    pricing = instance.pricing
+    cheapest_unit = pricing.unit_price
     probabilities = [scen.probability for scen in instance.scenarios]
-    snapped = snapped_requirements(instance)
     # the search bounds are read only when some VSP has a gap to close
     setup = (
-        _search_setup(devices, instance.similarity, probabilities, cheapest_unit, instance.bundle_upper_bounds)
-        if (snapped > 0.0).any()
+        _priced_search_setup(
+            pricing, pricing.coverage, instance.similarity, probabilities, cheapest_unit, instance.bundle_upper_bounds
+        )
+        if (pricing.snapped > 0.0).any()
         else None
     )
 
     bundles = np.zeros((instance.num_vsps, num_devices), dtype=np.int64)
     outcomes = []
-    for w, needs in enumerate(snapped.tolist()):
+    for w, needs in enumerate(pricing.snapped.tolist()):
         if all(need <= 0.0 for need in needs):
             outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0))
             continue

@@ -3,8 +3,8 @@
 ``bench/tracing.py`` wraps the package's functions by module and binding
 name, so renaming or deleting a module it lists in ``LAYERS`` breaks every
 ``bench/run.py --trace 1`` run.  This test catches that in the package's own
-suite, and short traced ``search`` and ``sweep`` runs must exit cleanly with
-every check passed.
+suite, and short traced ``search``, ``sweep`` and ``corpus`` runs must exit
+cleanly with every check passed.
 """
 
 import importlib
@@ -57,7 +57,7 @@ def test_tracer_installs_on_every_layer_and_restores_every_binding(monkeypatch):
     assert [key for key, value in before.items() if after.get(key) is not value] == []
 
 
-@pytest.mark.parametrize("workload", ["search", "sweep"])
+@pytest.mark.parametrize("workload", ["search", "sweep", "corpus"])
 def test_a_traced_run_passes_every_check(workload):
     args = ["--workload", workload, "--seed", "1", "--seconds", "0.01", "--trace", "1"]
     run = subprocess.run(

@@ -165,6 +165,13 @@ class TestSolveCommand:
             "type": "ConfigurationError",
         }
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_json_errors_for_a_node_limit_below_one(self, runner, limit):
+        problem = str(sm.data_file("singapore_demo.json"))
+        result = runner.invoke(main, ["--json-errors", "solve", "--problem", problem, "--node-limit", limit])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": f"node_limit must be >= 1, got {limit}", "type": "ValueError"}
+
     def test_json_errors_for_a_negative_seed(self, runner):
         problem = str(sm.data_file("singapore_demo.json"))
         args = ["--json-errors", "solve", "--problem", problem, "--scheme", "random", "--seed", "-1"]

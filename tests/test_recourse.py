@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from semalloc import (
     ReservationPlan,
     Vsp,
     VspDemand,
+    evaluate_many,
     evaluate_total,
     on_demand_unit_cost,
     optimal_recourse,
     shortfalls,
 )
+import semalloc.recourse as recourse
 from _support import brute_force_recourse_cost, make_random_instance, random_plan
 
 
@@ -131,6 +134,49 @@ class TestPhantomUnits:
         inst = build_instance([1.0], [[[similarity]]], [[quantity]], bundle_size=quantity)
         assert shortfalls([[1]], inst)[0, 0] == 1
         assert evaluate_total(ReservationPlan.from_bundles([[1]]), inst).cost.expected_on_demand == 1.0
+
+
+class TestPlanChecks:
+    """A plan that does not fit the instance is a ``ValueError``, checked once per public call."""
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (3,), (5, 2, 4), (1, 1, 2, 3)])
+    def test_shortfalls_rejects_a_plan_of_the_wrong_shape(self, singapore, shape):
+        message = f"bundles must have shape (2, 3) or (n, 2, 3), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shortfalls(np.zeros(shape), singapore)
+
+    @pytest.mark.parametrize("bundles", [[[0, 0, -1], [0, 0, 0]], [[[0, 0, 0], [2, -1, 0]]]])
+    def test_shortfalls_rejects_negative_counts(self, singapore, bundles):
+        with pytest.raises(ValueError, match="bundle counts must be non-negative"):
+            shortfalls(bundles, singapore)
+
+    def test_optimal_recourse_rejects_a_plan_of_the_wrong_shape(self, singapore):
+        with pytest.raises(ValueError, match=re.escape("bundles must have shape (2, 3), got (2, 4)")):
+            optimal_recourse(ReservationPlan.zeros(2, 4), singapore)
+
+    def test_evaluate_total_keeps_the_stack_message(self, singapore):
+        with pytest.raises(ValueError, match=re.escape("bundles must have shape (n, 2, 3), got (1, 2, 4)")):
+            evaluate_total(ReservationPlan.zeros(2, 4), singapore)
+
+    def test_each_public_call_checks_once(self, monkeypatch, singapore):
+        calls = []
+        check = recourse._check_counts
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(recourse, "_check_counts", counted)
+        plan = ReservationPlan.from_bundles([[1, 0, 2], [0, 1, 0]])
+        for call in (
+            lambda: shortfalls(plan.bundles, singapore),
+            lambda: optimal_recourse(plan, singapore),
+            lambda: evaluate_many(plan.bundles[None], singapore),
+            lambda: evaluate_total(plan, singapore),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
 
 class TestOptimalRecourse:
