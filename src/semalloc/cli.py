@@ -5,17 +5,21 @@ costs, totals) so any plotting tool reproduces the standard cost-structure,
 probability-sweep, and scheme-comparison figures directly.  All outputs are
 byte-deterministic for fixed inputs and seeds; SEMALLOC_THREADS is validated
 when a command starts, but every command runs sequentially, so its value
-never changes a byte.  A CSV goes out through one ``csv.writer`` call for
-all its rows, floats written with their shortest round-trip ``repr``.
+never changes a byte.  Each CSV is built as one string and goes out in one
+write, floats written with their shortest round-trip ``repr``: the similarity
+tensor's lines are joined directly, and other tables go through one
+``csv.writer`` call for all their rows.  An output file that cannot be
+written is a :class:`ConfigurationError`, as for ``solve``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -62,17 +66,49 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _write_text(out: Path | None, text: str) -> None:
+    """``text`` to ``out`` in one write, or to stdout when None.
+
+    An ``out`` that cannot be written is a :class:`ConfigurationError`.
+    """
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out}: {exc}") from exc
+
+
 def _write_csv(out: Path | None, header: list[str], rows: list[list]) -> None:
     """Header and rows to ``out``, or to stdout when None.
 
     ``csv.writer`` writes floats with ``repr`` and other values with ``str``;
     rows hold no None, which it would write as an empty field.
     """
-    target = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
-    with target as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(out, buffer.getvalue())
+
+
+def _write_similarity(out: Path | None, tensor: np.ndarray) -> None:
+    """One ``w,e,i,similarity`` line per tensor entry, in (w, e, i) order, after the header.
+
+    The tensor is validated finite and in [0, 1], so each ``repr`` is the
+    field ``csv.writer`` would write and none needs quoting.
+    """
+    num_vsps, num_devices, num_scenarios = tensor.shape
+    prefixes = [
+        f"{w},{e},{i},"
+        for w in range(num_vsps)
+        for e in range(num_devices)
+        for i in range(num_scenarios)
+    ]
+    lines = map(str.__add__, prefixes, map(repr, tensor.ravel().tolist()))
+    _write_text(out, "\n".join(["vsp,device,scenario,similarity", *lines]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +214,6 @@ def energy_report_rows(instance: ProblemInstance) -> tuple[list[list], float]:
         rows.append([dev.id, semantic, raw, energy_ratio(dev)])
     overall = raw_sum / semantic_sum if semantic_sum > 0 else float("nan")
     return rows, overall
-
-
-def similarity_rows(instance: ProblemInstance) -> list[list]:
-    """One ``[w, e, i, similarity]`` row per tensor entry, in (w, e, i) order."""
-    tensor = instance.similarity
-    indices = np.indices(tensor.shape).reshape(3, -1).tolist()
-    return list(map(list, zip(*indices, tensor.ravel().tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +377,7 @@ def energy_report(ctx, problem: Path, out: Path | None):
 def similarity_cmd(ctx, problem: Path, out: Path | None):
     """Print the (vsp, device, scenario) similarity tensor."""
     with _reported_errors(ctx):
-        instance = load_problem(problem)
-        rows = similarity_rows(instance)
-        _write_csv(out, ["vsp", "device", "scenario", "similarity"], rows)
+        _write_similarity(out, load_problem(problem).similarity)
 
 
 if __name__ == "__main__":

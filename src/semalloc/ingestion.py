@@ -24,8 +24,12 @@ is an integer, and NaN passes every bound (the entities reject it later).
 The check accepts exactly what the package's former draft 2020-12 schema
 accepted, except integers beyond the range of a float, and a
 :class:`SchemaError` reads ``{file}: {json pointer}: {message}`` for the
-error ``jsonschema.exceptions.best_match`` picked.  A ragged tensor passes the
-check and is rejected as a :class:`ValidationFailure`.
+error ``jsonschema.exceptions.best_match`` picked.  The check first takes each
+field of a record kind as one column, with one type set and one ``min``/``max``
+per column; only a document that this does not clear, for an error or for
+anything unusual such as a NaN, is walked record by record, and the walk
+picks the error.  A ragged tensor passes the check and is rejected as a
+:class:`ValidationFailure`.
 Paths inside a document resolve relative to the document itself.
 """
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 import heapq
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -230,8 +235,77 @@ def _rank(error) -> tuple:
     return -len(path), path
 
 
+def _column_passes(column: list, rule: _Rule) -> bool:
+    """True only if no value of ``column`` is unusual and each one passes ``rule``.
+
+    A NaN first in a column makes ``min`` and ``max`` NaN, which fails every
+    bound test below; a NaN further on passes the walk too.  ``True``, a
+    float in an integer column and an integer beyond float range fail here.
+    """
+    kind, minimum, exclusive_minimum, maximum = rule
+    types = set(map(type, column))
+    if kind == "string":
+        return types <= {str}
+    if not types <= ({int} if kind == "integer" else _NUMBER_TYPES):
+        return False
+    if not column:
+        return True
+    low, high = min(column), max(column)
+    return (
+        low >= -_FLOAT_MAX
+        and high <= _FLOAT_MAX
+        and (minimum is None or low >= minimum)
+        and (exclusive_minimum is None or low > exclusive_minimum)
+        and (maximum is None or high <= maximum)
+    )
+
+
+def _arrays_pass(arrays: list, kind: _Kind) -> bool:
+    """True only if each array is a non-empty list of records the walk passes.
+
+    The records of all the arrays are checked together, one column per field.
+    """
+    if not all(type(items) is list and items for items in arrays):
+        return False
+    records = list(chain.from_iterable(arrays))
+    if set(map(type, records)) != {dict}:
+        return False
+    if not all(kind.required <= keys <= kind.fields.keys() for keys in set(map(frozenset, records))):
+        return False
+    for key, rule in kind.fields.items():
+        column = [record[key] for record in records if key in record]
+        if not (_arrays_pass(column, rule) if isinstance(rule, _Kind) else _column_passes(column, rule)):
+            return False
+    return True
+
+
+def _document_passes(document) -> bool:
+    """True only for a document the walk passes; False sends it to the walk."""
+    if type(document) is not dict or document.keys() != _PROBLEM.fields.keys():
+        return False
+    source = document["similarity"]
+    if type(source) is not dict:
+        return False
+    if source.keys() == _TENSOR_SOURCE.fields.keys():
+        errors: list = []
+        _check_tensor(source["tensor"], (), errors)
+        if errors:
+            return False
+    elif source.keys() != _FILE_SOURCE.fields.keys() or not _column_passes(list(source.values()), _STRING):
+        return False
+    return all(
+        _arrays_pass([document[key]], kind) for key, kind in _PROBLEM.fields.items() if kind is not None
+    )
+
+
 def _document_error(document) -> str | None:
-    """``{json pointer}: {message}`` of the error best_match picks, or None."""
+    """``{json pointer}: {message}`` of the error best_match picks, or None.
+
+    The column check clears a valid document; only a document it does not
+    clear is walked, and the walk picks the error.
+    """
+    if _document_passes(document):
+        return None
     errors: list = []
     if _check_record(document, _PROBLEM, (), errors) and "similarity" in document:
         _check_similarity(document["similarity"], errors)
@@ -373,10 +447,10 @@ def solution_from_dict(data: dict) -> Solution:
 def dump_json(data: dict, path: str | Path) -> None:
     """Write canonical JSON: sorted keys, two-space indent, trailing newline."""
     path = Path(path)
+    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(data, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+            handle.write(text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 

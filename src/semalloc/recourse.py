@@ -30,8 +30,21 @@ from .core_model import (
 )
 
 
+def _whole(values, subject: str) -> np.ndarray:
+    """``values`` as an array, checked before any cast to int64.
+
+    A floating array must hold whole numbers: a NaN, infinite or fractional
+    entry is a ``ValueError``, while ``2.0`` passes.  Other dtypes are not
+    checked, so integer stacks pay nothing.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+        raise ValueError(f"{subject} must be whole numbers")
+    return arr
+
+
 def _frozen_int_array(values, shape_name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64, copy=True)
+    arr = np.array(_whole(values, shape_name), dtype=np.int64, copy=True)
     if arr.ndim != ndim:
         raise ValueError(f"{shape_name} must be {ndim}-dimensional, got shape {arr.shape}")
     if (arr < 0).any():
@@ -69,7 +82,7 @@ class ReservationPlan:
     @classmethod
     def from_bundles(cls, bundles) -> "ReservationPlan":
         """Plan with membership normalized: paid exactly where bundles are bought."""
-        arr = np.array(bundles, dtype=np.int64)
+        arr = _whole(bundles, "bundles").astype(np.int64)
         return cls((arr >= 1).astype(np.int64), arr)
 
 
@@ -126,9 +139,10 @@ def shortfalls(bundles, instance: ProblemInstance) -> np.ndarray:
     also be a stack ``(n, vsp, device)`` of plans, giving ``(n, vsp,
     scenario)``.  Coverage is summed device by device in index order, so a
     plan's shortfalls do not depend on the other plans in its stack.  A plan
-    of the wrong shape, or with a negative count, is a ``ValueError``.
+    of the wrong shape, or with a negative, NaN, infinite or fractional count,
+    is a ``ValueError``.
     """
-    counts = np.asarray(bundles, dtype=np.float64)
+    counts = _whole(bundles, "bundle counts").astype(np.float64, copy=False)
     _check_counts(counts, instance, (2, 3))
     return _shortfalls(counts, instance.pricing)
 
@@ -228,7 +242,7 @@ def evaluate_many(bundles, instance: ProblemInstance) -> PlanCosts:
     order (:func:`shortfalls`).  A plan's costs are therefore bit-identical in
     a stack of one or of many, and no per-plan recourse tensor is built.
     """
-    counts = np.asarray(bundles, dtype=np.int64)
+    counts = _whole(bundles, "bundle counts").astype(np.int64, copy=False)
     _check_counts(counts, instance, (3,))
     return _plan_costs(counts, _shortfalls(counts, instance.pricing), instance)
 

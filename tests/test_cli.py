@@ -10,7 +10,6 @@ from semalloc.cli import (
     energy_report_rows,
     main,
     parse_grid,
-    similarity_rows,
     sweep_bundle_rows,
     sweep_probability_rows,
 )
@@ -436,6 +435,26 @@ class TestEnergyReport:
         assert result.exit_code != 0
 
 
+CSV_COMMANDS = {
+    "similarity": ["similarity", "--problem", str(sm.data_file("interest_switch_corpus.json"))],
+    "compare": ["compare", "--problem", str(sm.data_file("singapore_demo.json")), "--grid", "1,2", "--samples", "5"],
+    "sweep-probability": ["sweep-probability", "--problem", str(sm.data_file("singapore_demo.json")), "--grid", "0,1"],
+    "sweep-bundles": ["sweep-bundles", "--problem", str(sm.data_file("singapore_demo.json")), "--max", "2"],
+    "energy-report": ["energy-report", "--problem", str(sm.data_file("singapore_demo.json"))],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_out_in_a_missing_directory_is_a_configuration_error(runner, tmp_path, command):
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, ["--json-errors", *CSV_COMMANDS[command], "--out", str(out)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["type"] == "ConfigurationError"
+    assert payload["error"].startswith(f"cannot write {out}: ")
+    assert not out.parent.exists()
+
+
 class TestSimilarityCommand:
     def test_tensor_rows(self, runner, tmp_path):
         out = tmp_path / "sim.csv"
@@ -504,7 +523,6 @@ def test_rows_hold_no_none(demo):
     """``csv.writer`` would write None as an empty field."""
     instance = sm.load_problem(sm.data_file(demo))
     builders = [
-        lambda: similarity_rows(instance),
         lambda: sweep_bundle_rows(instance, 0, 0, 6)[0],
         lambda: compare_rows(instance, (1.0, 2.0), 3, 10),
         lambda: energy_report_rows(instance)[0],

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,44 @@ class TestPlanChecks:
     def test_shortfalls_rejects_negative_counts(self, singapore, bundles):
         with pytest.raises(ValueError, match="bundle counts must be non-negative"):
             shortfalls(bundles, singapore)
+
+    @pytest.mark.parametrize("count", [1.5, 0.5, math.nan, math.inf, -math.inf])
+    def test_counts_that_are_not_whole_numbers_are_rejected(self, single_device, count):
+        """Checked before any cast to int64, which would truncate 1.5 to 1 or warn on a NaN."""
+        single = single_device
+        calls = {
+            "bundle counts": (lambda: shortfalls([[count]], single), lambda: evaluate_many([[[count]]], single)),
+            "bundles": (
+                lambda: ReservationPlan.from_bundles([[count]]),
+                lambda: ReservationPlan(membership=[[1]], bundles=[[count]]),
+            ),
+            "on_demand": (lambda: RecourseDecision([[[count]]]),),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for subject, attempts in calls.items():
+                for attempt in attempts:
+                    with pytest.raises(ValueError, match=f"^{subject} must be whole numbers$"):
+                        attempt()
+
+    def test_whole_number_floats_are_counts(self, single_device):
+        single = single_device  # one bundle leaves 40 units short
+        assert shortfalls([[1.0]], single).tolist() == shortfalls([[1]], single).tolist() == [[40]]
+        assert evaluate_many([[[1.0]]], single).total.tolist() == evaluate_many([[[1]]], single).total.tolist()
+        plan = ReservationPlan.from_bundles([[2.0]])
+        assert plan.bundles.dtype == np.int64 and plan.bundles.tolist() == [[2]]
+
+    def test_integer_counts_skip_the_whole_number_check(self, singapore, monkeypatch):
+        """An int64 stack, as ``solve_random`` draws it, pays nothing for the check."""
+        stack = np.ones((4, 2, 3), dtype=np.int64)
+        expected = evaluate_many(stack, singapore).total.tolist()
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("an integer stack was checked for whole numbers")
+
+        monkeypatch.setattr(np, "trunc", unexpected)
+        assert evaluate_many(stack, singapore).total.tolist() == expected
+        assert shortfalls(stack, singapore).shape == (4, 2, 2)
 
     def test_optimal_recourse_rejects_a_plan_of_the_wrong_shape(self, singapore):
         with pytest.raises(ValueError, match=re.escape("bundles must have shape (2, 3), got (2, 4)")):
