@@ -5,6 +5,9 @@ the probability-weighted product quantity*threshold, similarity likewise
 averaged), solves the deterministic program, then pays for that fixed plan
 under the true scenario distribution.  The random scheme draws whole plans
 uniformly within the search bounds, every plan from one seeded PCG64 stream.
+Each scheme's plans (:func:`evf_plan`, :func:`random_plans`) are split from
+their pricing, because neither reads an on-demand price: a sweep over price
+factors draws or solves them once and prices them at every factor.
 """
 
 from __future__ import annotations
@@ -49,14 +52,16 @@ class RandomSchemeResult:
     best: Solution
 
 
-def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> Solution:
-    """Plan from the averaged deterministic program, costed under the true scenarios.
+def evf_plan(instance: ProblemInstance, config: SolverConfig | None = None) -> ReservationPlan:
+    """The expected-value scheme's plan: the optimum of the averaged deterministic program.
 
     The averaged requirement is E[quantity*threshold] (the constraint's
     right-hand side is the product, so its expectation is the faithful mean
     demand), posed with threshold 1.  Both averages are accumulated scenario
-    by scenario in index order.  Infeasibility of the averaged program
-    propagates unchanged.
+    by scenario in index order.  The program reads the bundle sizes,
+    memberships and bundle prices but no on-demand price, so the plan is the
+    same at every on-demand price factor.  Infeasibility of the averaged
+    program propagates unchanged.
     """
     probabilities = instance.probabilities
     avg_requirement = _ordered_sum(probabilities * instance.requirements)
@@ -67,12 +72,16 @@ def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> 
         actual_quantity=avg_requirement,
         actual_threshold=np.ones(instance.num_vsps),
     )
-    averaged_plan = solve_dip(dip, config).plan
-    return evaluate_total(averaged_plan, instance)
+    return solve_dip(dip, config).plan
 
 
-def solve_random(instance: ProblemInstance, config: RandomSchemeConfig) -> RandomSchemeResult:
-    """Uniform random plans within the per-(vsp, device) bundle bounds.
+def solve_evf(instance: ProblemInstance, config: SolverConfig | None = None) -> Solution:
+    """The plan of :func:`evf_plan`, costed under the true scenarios."""
+    return evaluate_total(evf_plan(instance, config), instance)
+
+
+def random_plans(instance: ProblemInstance, config: RandomSchemeConfig) -> np.ndarray:
+    """The random scheme's draw: a read-only ``(samples, vsp, device)`` stack of uniform plans.
 
     Generator pinned for cross-run reproducibility: one PCG64 seeded through
     ``SeedSequence(seed)`` draws every plan in one
@@ -80,13 +89,24 @@ def solve_random(instance: ProblemInstance, config: RandomSchemeConfig) -> Rando
     vsp, device), dtype=np.int64)`` call.  The draw fills the stack in C
     order, one plan after another, so the first ``k`` plans of any draw are
     the ``k``-sample draw: a plan does not depend on the sample count.  The
-    stacked plans are priced together by one :func:`evaluate_many` call; only
-    the best is expanded into a full :class:`Solution`.
+    bounds read no price, so the draw is the same at every on-demand price
+    factor.
     """
     upper = instance.bundle_upper_bounds
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
     plans = rng.integers(0, upper + 1, size=(config.samples, *upper.shape), dtype=np.int64)
     plans.setflags(write=False)
+    return plans
+
+
+def solve_random(instance: ProblemInstance, config: RandomSchemeConfig) -> RandomSchemeResult:
+    """Uniform random plans within the per-(vsp, device) bundle bounds.
+
+    The plans of :func:`random_plans` are priced together by one
+    :func:`evaluate_many` call; only the best is expanded into a full
+    :class:`Solution`.
+    """
+    plans = random_plans(instance, config)
     totals = tuple(evaluate_many(plans, instance).total.tolist())
     best_index = min(range(len(totals)), key=lambda i: (totals[i], i))
     return RandomSchemeResult(

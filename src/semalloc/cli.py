@@ -4,12 +4,13 @@ CSV columns are named after the quantities they hold (probability, stage
 costs, totals) so any plotting tool reproduces the standard cost-structure,
 probability-sweep, and scheme-comparison figures directly.  All outputs are
 byte-deterministic for fixed inputs and seeds; SEMALLOC_THREADS is validated
-when a command starts, but every command runs sequentially, so its value
-never changes a byte.  Each CSV is built as one string and goes out in one
-write, floats written with their shortest round-trip ``repr``: the similarity
-tensor's lines are joined directly, and other tables go through one
-``csv.writer`` call for all their rows.  An output file that cannot be
-written is a :class:`ConfigurationError`, as for ``solve``.
+when a command starts, but nothing reads its value: every command, the grid
+sweeps included, runs in one thread, so no value changes a byte.  Each CSV
+is built as one string and goes out in one write, floats written with their
+shortest round-trip ``repr``: the similarity tensor's lines are joined
+directly, and other tables go through one ``csv.writer`` call for all their
+rows.  An output file that cannot be written is a
+:class:`ConfigurationError`, as for ``solve``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from ._parallel import parallel_map, thread_count
-from .baselines import RandomSchemeConfig, random_summary_dict, solve_evf, solve_random
+from ._parallel import thread_count
+from .baselines import (
+    RandomSchemeConfig,
+    evf_plan,
+    random_plans,
+    random_summary_dict,
+    solve_evf,
+    solve_random,
+)
 from .core_model import (
     ProblemInstance,
     energy_ratio,
@@ -36,8 +44,8 @@ from .core_model import (
 )
 from .errors import ConfigurationError, SemallocError
 from .ingestion import dump_json, load_problem, solution_to_dict, write_solution
-from .recourse import Solution
-from .solvers import SolverConfig, dip_from_instance, solve_dip, solve_sip, sweep_first_stage
+from .recourse import Solution, _plan_costs, _shortfalls, evaluate_total
+from .solvers import SolverConfig, dip_from_instance, solve_dip, solve_sip, solve_sip_grid, sweep_first_stage
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -128,23 +136,21 @@ def plan_type(solution: Solution, instance: ProblemInstance, w: int) -> str:
 def sweep_probability_rows(
     instance: ProblemInstance, grid: tuple[float, ...], config: SolverConfig | None = None
 ) -> list[list]:
-    """Re-solve with scenario probabilities (p, 1-p) for each grid point p."""
+    """SIP with scenario probabilities (p, 1-p) at each grid point p, by :func:`solve_sip_grid`."""
     if instance.num_scenarios != 2:
         raise ConfigurationError(
             f"probability sweep requires exactly 2 scenarios, got {instance.num_scenarios}"
         )
     if any(not 0.0 <= p <= 1.0 for p in grid):
         raise ConfigurationError("probability grid points must lie in [0, 1]")
-
-    def solve_point(p: float) -> list:
-        shifted = with_probabilities(instance, [p, 1.0 - p])
-        solution = solve_sip(shifted, config)
+    shifted = [with_probabilities(instance, [p, 1.0 - p]) for p in grid]
+    rows = []
+    for p, point, solution in zip(grid, shifted, solve_sip_grid(shifted, config)):
         stage1 = solution.cost.membership_total + solution.cost.reservation_total
         row = [p, stage1, solution.cost.expected_on_demand, solution.cost.total]
-        row.extend(plan_type(solution, shifted, w) for w in range(instance.num_vsps))
-        return row
-
-    return parallel_map(solve_point, grid)
+        row.extend(plan_type(solution, point, w) for w in range(instance.num_vsps))
+        rows.append(row)
+    return rows
 
 
 def sweep_bundle_rows(
@@ -169,7 +175,12 @@ def compare_rows(
     samples: int,
     config: SolverConfig | None = None,
 ) -> list[list]:
-    """Totals for SIP, EVF, and the random scheme at each on-demand cost factor."""
+    """Totals for SIP, EVF, and the random scheme at each on-demand cost factor.
+
+    No price factor changes the EVF plan or the random draw, nor the draw's
+    shortfalls, so each is computed once and priced at every factor; SIP is
+    solved over the grid by :func:`solve_sip_grid`.
+    """
     if not all(math.isfinite(f) and f > 0 for f in factors):
         raise ConfigurationError("on-demand cost factors must be positive and finite")
     # every factor is checked, by the device constructor's pricing rule, before any solve
@@ -186,15 +197,23 @@ def compare_rows(
             f"{bound!r}; got {', '.join(repr(f) for f in inverted)}"
         )
     random_config = RandomSchemeConfig(seed=seed, samples=samples)
-
-    def solve_point(point: tuple[float, ProblemInstance]) -> list:
-        factor, scaled = point
-        sip_total = solve_sip(scaled, config).cost.total
-        evf_total = solve_evf(scaled, config).cost.total
-        random_result = solve_random(scaled, random_config)
-        return [factor, sip_total, evf_total, random_result.mean_total, random_result.min_total]
-
-    return parallel_map(solve_point, points)
+    if not points:
+        return []
+    first = points[0][1]
+    try:
+        evf = evf_plan(first, config)
+        plans = random_plans(first, random_config)
+    except Exception:
+        # SIP at the first factor comes before EVF and the random scheme: its error, if any, is the one raised
+        solve_sip(first, config)
+        raise
+    short = _shortfalls(plans, first.pricing)
+    rows = []
+    for (factor, scaled), sip in zip(points, solve_sip_grid([scaled for _, scaled in points], config)):
+        totals = _plan_costs(plans, short, scaled).total.tolist()
+        evf_total = evaluate_total(evf, scaled).cost.total
+        rows.append([factor, sip.cost.total, evf_total, sum(totals) / len(totals), min(totals)])
+    return rows
 
 
 def energy_report_rows(instance: ProblemInstance) -> tuple[list[list], float]:

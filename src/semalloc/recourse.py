@@ -33,13 +33,17 @@ from .core_model import (
 def _whole(values, subject: str) -> np.ndarray:
     """``values`` as an array, checked before any cast to int64.
 
-    A floating array must hold whole numbers: a NaN, infinite or fractional
-    entry is a ``ValueError``, while ``2.0`` passes.  Other dtypes are not
-    checked, so integer stacks pay nothing.
+    A floating array must hold whole numbers in the int64 range: a NaN,
+    infinite or fractional entry is a ``ValueError``, and so is a whole entry
+    below ``-2**63`` or from ``2**63`` on, while ``2.0`` passes.  Other dtypes
+    are not checked, so integer stacks pay nothing.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
-        raise ValueError(f"{subject} must be whole numbers")
+    if arr.dtype.kind == "f":
+        if not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+            raise ValueError(f"{subject} must be whole numbers")
+        if not ((arr >= -(2.0**63)) & (arr < 2.0**63)).all():
+            raise ValueError(f"{subject} must lie in the int64 range")
     return arr
 
 

@@ -22,7 +22,11 @@ coverage rows) for every VSP at once in one numpy set-up,
 :func:`_priced_search_setup`; SIP's reads the instance's pricing table.  Among
 equal-cost optima the lexicographically smallest bundle vector by device index
 is returned, which keeps results reproducible regardless of the exploration
-order heuristic.
+order heuristic.  A sweep along one parameter in which every plan's cost is
+affine (the on-demand price factor, or the probabilities ``(p, 1 - p)``) is
+solved by :func:`solve_sip_grid`: each VSP is searched at the grid's ends,
+and only the intervals whose ends do not prove one plan are bisected.  It and
+:func:`solve_sip` share one per-point path, :func:`_sip_searches`.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .core_model import (
     snap,
     validate_instance,
 )
-from .errors import InfeasibleError, NodeLimitError, ValidationFailure
+from .errors import InfeasibleError, NodeLimitError, SemallocError, ValidationFailure
 from .recourse import (
     RecourseDecision,
     ReservationPlan,
@@ -122,11 +126,12 @@ def bundle_upper_bound(w: int, e: int, instance: ProblemInstance) -> int:
 
 @dataclass
 class _SearchOutcome:
-    cost: float | None
-    bundles: tuple[int, ...] | None
+    cost: float | None  # the best leaf cost
+    bundles: tuple[int, ...] | None  # the lexicographically smallest vector within the tie window of ``cost``
     nodes: int
     exceeded: bool
     bound: float  # lower bound on the optimum; equals ``cost`` once the search completes
+    own_cost: float | None  # the cost of ``bundles`` itself
 
 
 class _SearchSetup(NamedTuple):
@@ -430,8 +435,9 @@ def _dfs_bundle_search(
     empty = [0.0] * len(needs)
     recurse(0, 0.0, empty, _weighted_gap(needs, empty, weights))
     if not tied:
-        return _SearchOutcome(None, None, nodes, exceeded, frontier)
-    return _SearchOutcome(best_cost, min(vec for _, vec in tied), nodes, exceeded, min(best_cost, frontier))
+        return _SearchOutcome(None, None, nodes, exceeded, frontier, None)
+    own_cost, chosen = min(tied, key=lambda leaf: leaf[1])
+    return _SearchOutcome(best_cost, chosen, nodes, exceeded, min(best_cost, frontier), own_cost)
 
 
 def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
@@ -454,7 +460,7 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     for w in range(dip.num_vsps):
         requirement = float(requirements[w])
         if requirement <= 0.0:
-            outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0))
+            outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0, 0.0))
             continue
         if not (dip.actual_similarity[w] > 0.0).any():
             raise InfeasibleError(
@@ -495,12 +501,22 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
     answer.
     """
     config = config or SolverConfig()
+    outcomes = _sip_searches(instance, config.node_limit, range(instance.num_vsps))
+    return _sip_solution(instance, outcomes, config.node_limit)
+
+
+def _sip_searches(instance: ProblemInstance, node_limit: int, vsps: Iterable[int]) -> list[_SearchOutcome]:
+    """Validate ``instance``, then search each VSP of ``vsps``, in that order, on its pricing table.
+
+    The one per-point path of :func:`solve_sip` and :func:`solve_sip_grid`.
+    A VSP with no gap to close in any scenario buys nothing and is not
+    searched.
+    """
     report = validate_instance(instance)
     if not report.ok:
         raise ValidationFailure(report.violations)
 
-    devices = instance.devices
-    num_devices = len(devices)
+    num_devices = instance.num_devices
     pricing = instance.pricing
     cheapest_unit = pricing.unit_price
     probabilities = [scen.probability for scen in instance.scenarios]
@@ -513,22 +529,100 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
         else None
     )
 
-    bundles = np.zeros((instance.num_vsps, num_devices), dtype=np.int64)
+    needs_by_vsp = pricing.snapped.tolist()
     outcomes = []
-    for w, needs in enumerate(pricing.snapped.tolist()):
+    for w in vsps:
+        needs = needs_by_vsp[w]
         if all(need <= 0.0 for need in needs):
-            outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0))
+            outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0, 0.0))
             continue
-        outcome = _dfs_bundle_search(
-            setup, w, needs, recourse_cost_fn(needs, probabilities, cheapest_unit), config.node_limit
+        outcomes.append(
+            _dfs_bundle_search(setup, w, needs, recourse_cost_fn(needs, probabilities, cheapest_unit), node_limit)
         )
-        outcomes.append(outcome)
+    return outcomes
+
+
+def _sip_solution(instance: ProblemInstance, outcomes: Sequence[_SearchOutcome], node_limit: int) -> Solution:
+    """:func:`evaluate_total` of the plan of every VSP's outcome; :class:`NodeLimitError` if one was cut."""
+    bundles = np.zeros((instance.num_vsps, instance.num_devices), dtype=np.int64)
+    for w, outcome in enumerate(outcomes):
         if outcome.bundles is not None:
             bundles[w] = outcome.bundles
-
     solution = evaluate_total(ReservationPlan.from_bundles(bundles), instance)
-    _raise_if_cut(solution, outcomes, config.node_limit, feasible=True)  # zero bundles buy on demand
+    _raise_if_cut(solution, outcomes, node_limit, feasible=True)  # zero bundles buy on demand
     return solution
+
+
+def solve_sip_grid(instances: Sequence[ProblemInstance], config: SolverConfig | None = None) -> list[Solution]:
+    """:func:`solve_sip` of every instance of a one-parameter grid, searching only where a plan can change.
+
+    ``instances`` lie in grid order along a parameter ``t`` in which every
+    bundle vector's cost is affine, and differ in nothing else: the on-demand
+    price factor (``compare``) or the probabilities ``(p, 1 - p)``
+    (``sweep-probability``).  Each VSP's optimum is then a minimum of affine
+    functions of ``t`` (parametric programming; Gal and Greenberg, eds.,
+    *Advances in Sensitivity Analysis and Parametric Programming*, 1997).
+    Each VSP is searched at both ends of the grid, then by bisection.  Where
+    both ends of an interval return the same bundle vector, and at both ends
+    that vector's own cost is the best leaf cost, the vector is the optimum
+    and the lexicographic choice at every point between: a lexicographically
+    smaller rival tied inside would be tied at an end too.  Those points are
+    not searched; otherwise the midpoint is.  Each solution is
+    :func:`evaluate_total` of its plan on its own instance, as in
+    :func:`solve_sip`, so the results are those of ``[solve_sip(instance,
+    config) for instance in instances]``.
+
+    If a search is cut or a point fails, every point is solved by
+    :func:`solve_sip` in grid order, so the error raised is that loop's.  A
+    point that is not searched cannot be cut: a node budget that would cut
+    only such a point does not raise.
+    """
+    config = config or SolverConfig()
+    try:
+        outcomes = _bisected_outcomes(instances, config.node_limit)
+    except SemallocError:
+        outcomes = None
+    if outcomes is None:
+        return [solve_sip(instance, config) for instance in instances]
+    return [_sip_solution(instance, found, config.node_limit) for instance, found in zip(instances, outcomes)]
+
+
+def _bisected_outcomes(instances: Sequence[ProblemInstance], node_limit: int) -> list[list[_SearchOutcome]] | None:
+    """Every grid point's per-VSP outcomes by the bisection of :func:`solve_sip_grid`; None if a search was cut."""
+    if not instances:
+        return []
+    num_vsps = instances[0].num_vsps
+    outcomes: list[list] = [[None] * num_vsps for _ in instances]
+
+    def search(k: int, vsps: list[int]) -> bool:
+        found = _sip_searches(instances[k], node_limit, vsps)
+        for w, outcome in zip(vsps, found):
+            outcomes[k][w] = outcome
+        return not any(outcome.exceeded for outcome in found)
+
+    last = len(instances) - 1
+    every = list(range(num_vsps))
+    if not search(0, every) or (last and not search(last, every)):
+        return None
+    intervals = [(0, last, every)]
+    while intervals:
+        lo, hi, vsps = intervals.pop()
+        if hi - lo < 2:
+            continue
+        undecided = []
+        for w in vsps:
+            left, right = outcomes[lo][w], outcomes[hi][w]
+            if left.bundles == right.bundles and left.own_cost == left.cost and right.own_cost == right.cost:
+                for k in range(lo + 1, hi):
+                    outcomes[k][w] = left
+            else:
+                undecided.append(w)
+        if undecided:
+            mid = (lo + hi) // 2
+            if not search(mid, undecided):
+                return None
+            intervals += [(lo, mid, undecided), (mid, hi, undecided)]
+    return outcomes
 
 
 def _raise_if_cut(

@@ -331,6 +331,10 @@ class TestSweepBundles:
         assert result.exit_code != 0
 
 
+# every solve ``compare`` can start: a factor or seed check that fails must come before all of them
+COMPARE_SOLVES = ("solve_sip", "solve_sip_grid", "evf_plan", "random_plans")
+
+
 class TestCompare:
     def test_dominance_each_row(self, runner, tmp_path):
         out = tmp_path / "compare.csv"
@@ -370,7 +374,8 @@ class TestCompare:
         def unexpected(*args, **kwargs):
             raise AssertionError("solved before every factor was checked")
 
-        monkeypatch.setattr("semalloc.cli.solve_sip", unexpected)
+        for entry in COMPARE_SOLVES:
+            monkeypatch.setattr(f"semalloc.cli.{entry}", unexpected)
         problem = str(sm.data_file("singapore_demo.json"))
         result = runner.invoke(main, ["--json-errors", "compare", "--problem", problem, "--grid", "0.1:3:0.1"])
         assert result.exit_code == 1
@@ -386,11 +391,33 @@ class TestCompare:
         def unexpected(*args, **kwargs):
             raise AssertionError("solved before the random-scheme seed was checked")
 
-        monkeypatch.setattr("semalloc.cli.solve_sip", unexpected)
+        for entry in COMPARE_SOLVES:
+            monkeypatch.setattr(f"semalloc.cli.{entry}", unexpected)
         problem = str(sm.data_file("singapore_demo.json"))
         result = runner.invoke(main, ["--json-errors", "compare", "--problem", problem, "--seed", "-1"])
         assert result.exit_code == 1
         assert json.loads(result.stderr) == {"error": "seed must be >= 0, got -1", "type": "ValueError"}
+
+
+    @pytest.mark.parametrize("grid", ["1", "0.5:3:0.5"])
+    def test_one_evf_solve_and_one_draw_whatever_the_grid_length(self, runner, monkeypatch, grid):
+        calls = {"solve_dip": 0, "random_plans": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(sm.baselines, "solve_dip")
+        counted(sm.cli, "random_plans")
+        problem = str(sm.data_file("singapore_demo.json"))
+        result = runner.invoke(main, ["compare", "--problem", problem, "--grid", grid, "--samples", "5"])
+        assert result.exit_code == 0, result.output
+        assert calls == {"solve_dip": 1, "random_plans": 1}
 
 
 class TestEnergyReport:

@@ -170,6 +170,27 @@ class TestPlanChecks:
                     with pytest.raises(ValueError, match=f"^{subject} must be whole numbers$"):
                         attempt()
 
+    @pytest.mark.parametrize(
+        "subject, attempt",
+        [
+            ("bundles", lambda single: ReservationPlan.from_bundles([[1e300]])),
+            ("bundle counts", lambda single: evaluate_many([[[1e19]]], single)),
+            ("bundle counts", lambda single: shortfalls([[1e300]], single)),
+            ("bundles", lambda single: ReservationPlan.from_bundles([[2.0**63]])),
+            ("bundle counts", lambda single: shortfalls([[-1e19]], single)),
+        ],
+        ids=["from_bundles-1e300", "evaluate_many-1e19", "shortfalls-1e300", "from_bundles-2**63", "shortfalls--1e19"],
+    )
+    def test_whole_counts_beyond_the_int64_range_are_rejected(self, single_device, subject, attempt):
+        """Checked before the cast to int64, which would warn and wrap, or before a float shortfall of 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{subject} must lie in the int64 range$"):
+                attempt(single_device)
+
+    def test_the_largest_whole_float_in_the_int64_range_is_a_count(self):
+        assert ReservationPlan.from_bundles([[2.0**63 - 1024]]).bundles.tolist() == [[2**63 - 1024]]
+
     def test_whole_number_floats_are_counts(self, single_device):
         single = single_device  # one bundle leaves 40 units short
         assert shortfalls([[1.0]], single).tolist() == shortfalls([[1]], single).tolist() == [[40]]
