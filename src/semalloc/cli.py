@@ -3,14 +3,13 @@
 CSV columns are named after the quantities they hold (probability, stage
 costs, totals) so any plotting tool reproduces the standard cost-structure,
 probability-sweep, and scheme-comparison figures directly.  All outputs are
-byte-deterministic for fixed inputs and seeds; SEMALLOC_THREADS is validated
-when a command starts, but nothing reads its value: every command, the grid
-sweeps included, runs in one thread, so no value changes a byte.  Each CSV
-is built as one string and goes out in one write, floats written with their
-shortest round-trip ``repr``: the similarity tensor's lines are joined
-directly, and other tables go through one ``csv.writer`` call for all their
-rows.  An output file that cannot be written is a
-:class:`ConfigurationError`, as for ``solve``.
+byte-deterministic for fixed inputs and seeds; every command, the grid
+sweeps included, runs in one thread.  Each CSV is built as one string and
+goes out in one write, floats written with their shortest round-trip
+``repr``: the similarity tensor's lines are joined directly, and other
+tables go through one ``csv.writer`` call for all their rows.  Files are
+written by :func:`~semalloc.ingestion.write_text`, so an output file that
+cannot be written is a :class:`ConfigurationError`, as for ``solve``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from ._parallel import thread_count
 from .baselines import (
     RandomSchemeConfig,
     evf_plan,
@@ -43,7 +41,7 @@ from .core_model import (
     with_probabilities,
 )
 from .errors import ConfigurationError, SemallocError
-from .ingestion import dump_json, load_problem, solution_to_dict, write_solution
+from .ingestion import dump_json, load_problem, write_solution, write_text
 from .recourse import Solution, _plan_costs, _shortfalls, evaluate_total
 from .solvers import SolverConfig, dip_from_instance, solve_dip, solve_sip, solve_sip_grid, sweep_first_stage
 
@@ -75,18 +73,11 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _write_text(out: Path | None, text: str) -> None:
-    """``text`` to ``out`` in one write, or to stdout when None.
-
-    An ``out`` that cannot be written is a :class:`ConfigurationError`.
-    """
+    """``text`` to ``out`` in one write (:func:`write_text`), or to stdout when None."""
     if out is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {out}: {exc}") from exc
+    else:
+        write_text(text, out)
 
 
 def _write_csv(out: Path | None, header: list[str], rows: list[list]) -> None:
@@ -241,9 +232,8 @@ def energy_report_rows(instance: ProblemInstance) -> tuple[list[list], float]:
 
 @contextmanager
 def _reported_errors(ctx: click.Context):
-    """Validate SEMALLOC_THREADS, then run a command body, reporting its failures."""
+    """Run a command body, reporting its failures."""
     try:
-        thread_count()
         yield
     except (SemallocError, ValueError) as exc:
         root = ctx.find_root()

@@ -177,21 +177,6 @@ class ProblemInstance:
         return matrix
 
     @cached_property
-    def max_requirement(self) -> np.ndarray:
-        """Read-only ``(vsp,)`` largest requirement over the scenarios."""
-        vector = self.requirements.max(axis=1)
-        vector.setflags(write=False)
-        return vector
-
-    @cached_property
-    def least_positive_similarity(self) -> np.ndarray:
-        """Read-only ``(vsp, device)`` minimum of the positive similarities; inf where none is positive."""
-        sim = self.similarity
-        matrix = np.where(sim > 0.0, sim, np.inf).min(axis=2, initial=np.inf)
-        matrix.setflags(write=False)
-        return matrix
-
-    @cached_property
     def pricing(self) -> Pricing:
         """Read-only pricing table that every evaluation and search of this instance reads.
 
@@ -218,7 +203,9 @@ class ProblemInstance:
         losing feasibility or raising cost.  Zero where the device never
         matches the interest or demand is zero in every scenario.
         """
-        matrix = bundle_caps(self.max_requirement, self.pricing.sizes, self.least_positive_similarity)
+        sim = self.similarity
+        least_positive = np.where(sim > 0.0, sim, np.inf).min(axis=2, initial=np.inf)
+        matrix = bundle_caps(self.requirements.max(axis=1), self.pricing.sizes, least_positive)
         matrix.setflags(write=False)
         return matrix
 

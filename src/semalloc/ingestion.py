@@ -444,15 +444,22 @@ def solution_from_dict(data: dict) -> Solution:
     return Solution(plan, recourse, cost)
 
 
-def dump_json(data: dict, path: str | Path) -> None:
-    """Write canonical JSON: sorted keys, two-space indent, trailing newline."""
+def write_text(text: str, path: str | Path) -> None:
+    """Write ``text`` to ``path`` in one write, newlines untranslated.
+
+    A path that cannot be written is a :class:`ConfigurationError`.
+    """
     path = Path(path)
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
+def dump_json(data: dict, path: str | Path) -> None:
+    """Write canonical JSON: sorted keys, two-space indent, trailing newline."""
+    write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", path)
 
 
 def write_solution(solution: Solution, path: str | Path) -> None:

@@ -19,15 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core_model import (
-    CostBreakdown,
-    DevicePrices,
-    EdgeDevice,
-    Pricing,
-    ProblemInstance,
-    device_prices,
-    snap,  # re-exported: the requirement snap shortfalls are measured against
-)
+from .core_model import CostBreakdown, DevicePrices, Pricing, ProblemInstance
 
 
 def _whole(values, subject: str) -> np.ndarray:
@@ -107,16 +99,6 @@ class Solution:
     plan: ReservationPlan
     recourse: RecourseDecision
     cost: CostBreakdown
-
-
-def cheapest_device(instance: ProblemInstance) -> int:
-    """Device with the lowest on-demand unit cost; ties go to the lowest index."""
-    return instance.pricing.cheapest
-
-
-def snapped_requirements(instance: ProblemInstance) -> np.ndarray:
-    """Read-only snapped requirements (:func:`snap`) of every VSP, indexed (vsp, scenario)."""
-    return instance.pricing.snapped
 
 
 def _check_counts(counts: np.ndarray, instance: ProblemInstance, ndims: tuple[int, ...]) -> None:
@@ -200,18 +182,13 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(padded, axis=-1)[..., -1]
 
 
-def stage1_costs(bundles: np.ndarray, devices: Sequence[EdgeDevice]) -> tuple[np.ndarray, np.ndarray]:
+def _stage1_costs(bundles: np.ndarray, prices: DevicePrices | Pricing) -> tuple[np.ndarray, np.ndarray]:
     """Membership and reservation totals of each plan in an ``(n, vsp, device)`` stack.
 
-    Summed vsp-major, in (vsp, device) order; membership is paid where
-    bundles are.  A (vsp, device) with no bundles adds zero, which leaves the
-    partial sum as it was.
+    ``prices`` are the device set's per-device arrays.  Summed vsp-major, in
+    (vsp, device) order; membership is paid where bundles are.  A (vsp,
+    device) with no bundles adds zero, which leaves the partial sum as it was.
     """
-    return _stage1_costs(bundles, device_prices(devices))
-
-
-def _stage1_costs(bundles: np.ndarray, prices: DevicePrices | Pricing) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`stage1_costs` with the device set's prices already built."""
     flat = (bundles.shape[0], bundles.shape[1] * bundles.shape[2])
     membership = _ordered_sum(((bundles >= 1) * prices.memberships).reshape(flat))
     return membership, _ordered_sum((bundles * prices.bundle_prices).reshape(flat))
@@ -241,7 +218,7 @@ def evaluate_many(bundles, instance: ProblemInstance) -> PlanCosts:
     Membership is paid exactly where bundles are bought.  Each (vsp,
     scenario) shortfall is bought from the cheapest device.  Summation order
     is fixed and is the same for every plan whatever the stack holds: stage 1
-    vsp-major (:func:`stage1_costs`), recourse scenario-major and within a
+    vsp-major (:func:`_stage1_costs`), recourse scenario-major and within a
     scenario vsp by vsp (:func:`_ordered_sum`), with coverage summed in device
     order (:func:`shortfalls`).  A plan's costs are therefore bit-identical in
     a stack of one or of many, and no per-plan recourse tensor is built.

@@ -147,14 +147,6 @@ class _SearchSetup(NamedTuple):
     cap: float
 
 
-def _search_setup(
-    devices: Sequence[EdgeDevice], similarity: np.ndarray, weights: Sequence[float], cap: float, upper: np.ndarray
-) -> _SearchSetup:
-    """:func:`_priced_search_setup` of a device set without a pricing table, such as DIP's."""
-    prices = device_prices(devices)
-    return _priced_search_setup(prices, prices.sizes[:, None] * similarity, similarity, weights, cap, upper)
-
-
 def _priced_search_setup(
     prices: DevicePrices | Pricing,
     rows: np.ndarray,
@@ -358,7 +350,7 @@ def _dfs_bundle_search(
     of :func:`_suffix_scales` (``weights`` are the scenario probabilities and
     ``cap`` the recourse unit price, or ``[1]`` and infinity for a program
     without recourse), which prices each bundle left to branch on at its price
-    in :func:`_search_setup`.  It is admissible: recourse rounds its gap up,
+    in :func:`_priced_search_setup`.  It is admissible: recourse rounds its gap up,
     no count exceeds its search bound ``U_e``, so a device in use pays at least
     ``m_e / U_e`` of membership per bundle, and weak duality bounds the rest.
     Each node visits its children in order of their bound (:func:`_counts_by_bound`),
@@ -453,7 +445,8 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     matching = np.where(dip.actual_similarity > 0.0, dip.actual_similarity, math.inf)
     prices = device_prices(devices)
     caps = bundle_caps(requirements, prices.sizes, matching)
-    setup = _search_setup(devices, dip.actual_similarity[:, :, None], [1.0], math.inf, caps)
+    similarity = dip.actual_similarity[:, :, None]
+    setup = _priced_search_setup(prices, prices.sizes[:, None] * similarity, similarity, [1.0], math.inf, caps)
 
     bundles = np.zeros((dip.num_vsps, num_devices), dtype=np.int64)
     outcomes = []

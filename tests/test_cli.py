@@ -42,7 +42,7 @@ class TestParseGrid:
         assert parse_grid("0.25") == (0.25,)
 
     @pytest.mark.parametrize(
-        "bad", ["", "1:0:0.1", "0:1:0", "a:b:c", "3,2,1", "1,1", "0:inf:1", "0:1:inf", "-inf:0:1"]
+        "bad", ["", "1:0:0.1", "0:1:0", "a:b:c", "3,2,1", "1,1", "0:inf:1", "0:1:inf", "-inf:0:1", "1:2"]
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigurationError):
@@ -180,35 +180,28 @@ class TestSolveCommand:
 
 
 class TestThreadsVariable:
-    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
-    def test_invalid_value_is_configuration_error(self, runner, value):
-        args = ["solve", "--problem", str(sm.data_file("singapore_demo.json")), "--scheme", "sip"]
-        env = {"SEMALLOC_THREADS": value}
-        result = runner.invoke(main, args, env=env)
-        assert result.exit_code == 1
-        assert "SEMALLOC_THREADS" in result.stderr
-        result = runner.invoke(main, ["--json-errors", *args], env=env)
-        assert result.exit_code == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigurationError"
-        assert "SEMALLOC_THREADS" in payload["error"]
+    """``SEMALLOC_THREADS`` once chose a worker count; no value of it now changes an exit code or a byte."""
 
+    @pytest.mark.parametrize("value", ["0", "abc"])
     @pytest.mark.parametrize(
         "args",
         [
+            ["solve", "--scheme", "sip"],
             ["solve", "--scheme", "random", "--samples", "3"],
             ["sweep-bundles", "--max", "2"],
             ["similarity"],
         ],
-        ids=["random", "sweep-bundles", "similarity"],
+        ids=["sip", "random", "sweep-bundles", "similarity"],
     )
-    def test_every_command_validates(self, runner, args):
+    def test_every_command_ignores_the_value(self, runner, tmp_path, args, value):
         problem = ["--problem", str(sm.data_file("singapore_demo.json"))]
-        result = runner.invoke(main, ["--json-errors", *args, *problem], env={"SEMALLOC_THREADS": "0"})
-        assert result.exit_code == 1
-        payload = json.loads(result.stderr)
-        assert payload["type"] == "ConfigurationError"
-        assert "SEMALLOC_THREADS" in payload["error"]
+        unset = runner.invoke(main, [*args, *problem, "--out", str(tmp_path / "unset")])
+        ignored = runner.invoke(
+            main, [*args, *problem, "--out", str(tmp_path / "set")], env={"SEMALLOC_THREADS": value}
+        )
+        assert unset.exit_code == ignored.exit_code == 0
+        assert (ignored.stdout, ignored.stderr) == (unset.stdout, unset.stderr)
+        assert (tmp_path / "set").read_bytes() == (tmp_path / "unset").read_bytes()
 
     @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["compare", "--help"]])
     def test_help_ignores_the_value(self, runner, args):
@@ -329,6 +322,10 @@ class TestSweepBundles:
             ],
         )
         assert result.exit_code != 0
+        problem = str(sm.data_file("cost_structure_demo.json"))
+        result = runner.invoke(main, ["--json-errors", "sweep-bundles", "--problem", problem, "--max", "-1"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr) == {"error": "--max must be non-negative, got -1", "type": "ConfigurationError"}
 
 
 # every solve ``compare`` can start: a factor or seed check that fails must come before all of them

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +18,6 @@ from semalloc import (
     validate_instance,
     with_probabilities,
 )
-from _support import make_random_instance
 
 
 def make_device(**overrides) -> EdgeDevice:
@@ -204,24 +201,6 @@ class TestValidation:
             VspDemand("k", 1, 1.5)
 
 
-class TestLeastPositiveSimilarity:
-    def test_matches_the_masked_column_minimum_and_is_read_only(self):
-        rng = np.random.default_rng(5)
-        columns_without_positive = 0
-        for _ in range(30):
-            inst = make_random_instance(rng, max_vsps=3, max_devices=4, max_scenarios=3)
-            for w in range(inst.num_vsps):
-                for e in range(inst.num_devices):
-                    column = inst.similarity[w, e]
-                    positive = column[column > 0.0]
-                    expected = positive.min() if positive.size else math.inf
-                    columns_without_positive += not positive.size
-                    assert inst.least_positive_similarity[w, e] == expected
-        assert columns_without_positive > 0
-        with pytest.raises(ValueError):
-            inst.least_positive_similarity[0, 0] = 1.0
-
-
 class TestRequirementMatrix:
     def test_matches_requirement_and_is_read_only(self):
         inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))
@@ -230,12 +209,6 @@ class TestRequirementMatrix:
         ]
         with pytest.raises(ValueError):
             inst.requirements[0, 0] = 1.0
-
-    def test_max_requirement_is_the_row_maximum_and_read_only(self):
-        inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))
-        assert inst.max_requirement.tolist() == [max(row) for row in inst.requirements.tolist()]
-        with pytest.raises(ValueError):
-            inst.max_requirement[0] = 1.0
 
     def test_ragged_demand_lists_still_reach_validation(self):
         inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))

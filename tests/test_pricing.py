@@ -27,10 +27,10 @@ from semalloc import (
     with_probabilities,
 )
 from semalloc.core_model import device_prices
-from semalloc.recourse import cheapest_device, stage1_costs
-from semalloc.solvers import _priced_search_setup, _search_setup
+from semalloc.recourse import _stage1_costs
+from semalloc.solvers import _priced_search_setup
 from _support import make_random_instance, random_plan
-from test_solvers import make_decimal_instance
+from test_solvers import bare_search_setup, make_decimal_instance
 
 
 def left_to_right(terms: np.ndarray) -> np.ndarray:
@@ -90,9 +90,9 @@ class TestPricingTable:
         rng = np.random.default_rng(seed)
         inst = make_decimal_instance(rng) if decimal else make_random_instance(rng, 4, 5, 4)
         stack = np.stack([random_plan(rng, inst).bundles for _ in range(4)])
-        assert cheapest_device(inst) == former_cheapest_device(inst)
+        assert inst.pricing.cheapest == former_cheapest_device(inst)
         assert np.array_equal(shortfalls(stack, inst), former_shortfalls(stack, inst))
-        assert [column.tolist() for column in stage1_costs(stack, inst.devices)] == [
+        assert [column.tolist() for column in _stage1_costs(stack, device_prices(inst.devices))] == [
             column.tolist() for column in former_stage1_costs(stack, inst.devices)
         ]
         assert [column.tolist() for column in evaluate_many(stack, inst)] == [
@@ -102,7 +102,7 @@ class TestPricingTable:
         pricing, weights, upper = inst.pricing, list(inst.probabilities), inst.bundle_upper_bounds
         assert _priced_search_setup(
             pricing, pricing.coverage, inst.similarity, weights, pricing.unit_price, upper
-        ) == _search_setup(inst.devices, inst.similarity, weights, pricing.unit_price, upper)
+        ) == bare_search_setup(inst.devices, inst.similarity, weights, pricing.unit_price, upper)
         for bundles in stack:
             plan = ReservationPlan.from_bundles(bundles)
             cost, tensor = former_evaluate_total(plan, inst)

@@ -30,14 +30,14 @@ from _support import (
     oracle_bundle_bounds,
     random_plan,
 )
-from semalloc.core_model import reservation_bundle_cost
+from semalloc.core_model import device_prices, reservation_bundle_cost
 from semalloc.errors import ConfigurationError
-from semalloc.recourse import shortfalls, snapped_requirements
+from semalloc.recourse import shortfalls
 from semalloc.solvers import (
     TIE_REL,
     _child_bounds,
     _counts_by_bound,
-    _search_setup,
+    _priced_search_setup,
     _suffix_scales,
     _weighted_gap,
 )
@@ -91,10 +91,11 @@ class TestBundleUpperBound:
 
 def former_bundle_upper_bound(w: int, e: int, instance: sm.ProblemInstance) -> int:
     """The per-(vsp, device) search bound as each call computed it before the cached matrix."""
-    least = float(instance.least_positive_similarity[w, e])
-    if least == math.inf:
+    positive = [s for s in instance.similarity[w, e].tolist() if s > 0.0]
+    if not positive:
         return 0
-    max_requirement = float(instance.max_requirement[w])
+    least = min(positive)
+    max_requirement = float(instance.requirements[w].max())
     if max_requirement <= 0.0:
         return 0
     count = max_requirement / (instance.devices[e].bundle_size * least)
@@ -663,7 +664,7 @@ def _lattice_costs(plans: np.ndarray, instance: sm.ProblemInstance) -> np.ndarra
     """
     devices = instance.devices
     per_bundle = np.array([dev.bundle_size for dev in devices])[:, None] * instance.similarity[0]
-    gap = snapped_requirements(instance)[0] - plans @ per_bundle
+    gap = instance.pricing.snapped[0] - plans @ per_bundle
     expected_units = np.ceil(np.maximum(0.0, gap)) @ instance.probabilities
     stage1 = plans @ [reservation_bundle_cost(dev) for dev in devices]
     stage1 = stage1 + (plans >= 1) @ [dev.membership_cost for dev in devices]
@@ -707,6 +708,12 @@ def _tie_rule_plan(plans: np.ndarray, instance: sm.ProblemInstance, covering_onl
     return best, min(tied)
 
 
+def bare_search_setup(devices, similarity, weights, cap, upper):
+    """The search set-up of a device set read without a pricing table, as DIP builds it."""
+    prices = device_prices(devices)
+    return _priced_search_setup(prices, prices.sizes[:, None] * similarity, similarity, weights, cap, upper)
+
+
 def _former_rules(devices, expected_similarity, similarity, weights, cap, upper):
     """``(order, scales, rows)`` of every VSP by the per-VSP Python rules the set-up replaced.
 
@@ -739,12 +746,12 @@ def _former_rules(devices, expected_similarity, similarity, weights, cap, upper)
 
 
 def _assert_setup_is_the_former_rules(devices, similarity, weights, cap, upper, expected_similarity=None):
-    """``_search_setup`` gives the former orders, scales at every depth and rows, ``==`` equal."""
+    """:func:`bare_search_setup` gives the former orders, scales at every depth and rows, ``==`` equal."""
     if expected_similarity is None:  # SIP's expected similarity, accumulated scenario by scenario
         expected_similarity = np.zeros(similarity.shape[:2])
         for i, p in enumerate(weights):
             expected_similarity = expected_similarity + p * similarity[:, :, i]
-    setup = _search_setup(devices, similarity, weights, cap, upper)
+    setup = bare_search_setup(devices, similarity, weights, cap, upper)
     former = _former_rules(devices, expected_similarity, similarity, weights, cap, upper)
     for w, (order, scales, rows) in enumerate(former):
         assert setup.orders[w] == order
@@ -816,9 +823,9 @@ class TestRecourseBound:
         unit = min(on_demand_unit_cost(dev) for dev in devices)
         probabilities = list(inst.probabilities)
         ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
-        ratios = _search_setup(devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds).ratios[0]
+        ratios = bare_search_setup(devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds).ratios[0]
         scales = _suffix_scales(order, ratios, unit)
-        needs = snapped_requirements(inst)[0].tolist()
+        needs = inst.pricing.snapped[0].tolist()
 
         plans = _lattice_plans(inst)
         costs = _lattice_costs(plans, inst)
@@ -859,9 +866,9 @@ class TestRecourseBound:
         rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
         probabilities = list(inst.probabilities)
         cap = min(on_demand_unit_cost(dev) for dev in devices) if recourse else math.inf
-        ratios = _search_setup(devices, inst.similarity, probabilities, cap, inst.bundle_upper_bounds).ratios[0]
+        ratios = bare_search_setup(devices, inst.similarity, probabilities, cap, inst.bundle_upper_bounds).ratios[0]
         scales = _suffix_scales(order, ratios, cap)
-        needs = snapped_requirements(inst)[0].tolist()
+        needs = inst.pricing.snapped[0].tolist()
         depth = data.draw(st.integers(0, inst.num_devices - 1), label="depth")
         stage1, covered = 0.0, [0.0] * inst.num_scenarios
         for e in order[:depth]:
@@ -913,9 +920,9 @@ class TestRecourseBound:
         unit = min(on_demand_unit_cost(dev) for dev in devices)
         probabilities = list(inst.probabilities)
         ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
-        ratios = _search_setup(devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds).ratios[0]
+        ratios = bare_search_setup(devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds).ratios[0]
         scales = _suffix_scales(order, ratios, unit)
-        needs = snapped_requirements(inst)[0].tolist()
+        needs = inst.pricing.snapped[0].tolist()
 
         # the lattice reaches U_e + 1, but those counts are dominated, so the minimum lies in k <= U
         plans = _lattice_plans(inst)
@@ -1018,7 +1025,10 @@ class TestScalingWall:
         for seed in range(40):
             solve_sip(hard_instance(seed), SolverConfig(node_limit=1_000))
 
-    @pytest.mark.parametrize("seed, num_devices, num_scenarios", [(0, 40, 8), (2, 34, 8), (3, 28, 6), (4, 20, 4)])
+    @pytest.mark.parametrize(
+        "seed, num_devices, num_scenarios",
+        [(0, 40, 8), (2, 34, 8), (3, 28, 6), (4, 20, 4), (1, 80, 8), (1, 40, 16), (0, 80, 16), (3, 80, 16)],
+    )
     def test_wide_hard_instances_match_highs_and_beat_the_expected_value_plan(
         self, monkeypatch, seed, num_devices, num_scenarios
     ):
@@ -1030,6 +1040,14 @@ class TestScalingWall:
         total = solve_sip(inst).cost.total
         assert total == pytest.approx(oracle.highs_total(inst), rel=TIE_REL)
         assert total <= sm.solve_evf(inst).cost.total * (1 + TIE_REL)  # RP <= EEV
+
+    def test_a_cut_search_at_the_wall_never_bounds_above_the_optimum(self):
+        inst = hard_instance(1, 80, 8)
+        optimum = solve_sip(inst).cost.total
+        for node_limit in (1, 10, 100, 1_000):
+            with pytest.raises(NodeLimitError) as cut:
+                solve_sip(inst, SolverConfig(node_limit=node_limit))
+            _assert_admissible(cut.value, optimum)
 
 
 def _every_cut(solve):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import semalloc as sm
 import semalloc.solvers as solvers
@@ -103,6 +103,7 @@ class TestRowsMatchThePerPointLoop:
     @settings(max_examples=40, deadline=None)
     @given(maker=st.sampled_from(sorted(MAKERS)), seed=st.integers(0, 2**32 - 1),
            grid=st.sampled_from(PROBABILITY_GRIDS))
+    @example(maker="random", seed=0, grid=())  # an empty grid solves nothing
     def test_probability_sweep(self, maker, seed, grid):
         instance = two_scenario_instance(MAKERS[maker], seed)
         assert sweep_probability_rows(instance, grid) == loop_sweep_probability_rows(instance, grid)
@@ -110,6 +111,7 @@ class TestRowsMatchThePerPointLoop:
     @settings(max_examples=40, deadline=None)
     @given(maker=st.sampled_from(sorted(MAKERS)), seed=st.integers(0, 2**32 - 1),
            grid=st.sampled_from(FACTOR_GRIDS), draw_seed=st.integers(0, 1000))
+    @example(maker="random", seed=0, grid=(), draw_seed=1)
     def test_compare(self, maker, seed, grid, draw_seed):
         instance = MAKERS[maker](np.random.default_rng(seed))
         assert compare_rows(instance, grid, draw_seed, 20) == loop_compare_rows(instance, grid, draw_seed, 20)
@@ -212,6 +214,22 @@ class TestErrorsAndBudgets:
             loop_compare_rows(instance, (1.0, 2.0, 3.0), 1, 10, config)
         with pytest.raises(NodeLimitError) as raised:
             compare_rows(instance, (1.0, 2.0, 3.0), 1, 10, config)
+        assert _error_fields(raised.value) == _error_fields(expected.value)
+
+    def test_a_cut_midpoint_raises_the_loops_node_limit_error(self):
+        # both ends of fleet problem 0 complete within 17 nodes per VSP; bisection reaches the midpoint
+        # p = 0.4, whose VSP 0 needs more, so the grid falls back to the loop, which is cut at 0.4 too
+        instance = fleet_instance(5201, 0, 2)
+        config = SolverConfig(node_limit=17)
+        grid = parse_grid("0:1:0.1")
+        shifted = [sm.with_probabilities(instance, [p, 1.0 - p]) for p in grid]
+        for end in (shifted[0], shifted[-1]):
+            sm.solve_sip(end, config)
+        assert solvers._bisected_outcomes(shifted, config.node_limit) is None
+        with pytest.raises(NodeLimitError) as expected:
+            loop_sweep_probability_rows(instance, grid, config)
+        with pytest.raises(NodeLimitError) as raised:
+            sweep_probability_rows(instance, grid, config)
         assert _error_fields(raised.value) == _error_fields(expected.value)
 
     def test_a_budget_that_cuts_only_a_point_between_proven_ends_does_not_raise(self, searches):
