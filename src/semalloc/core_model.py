@@ -180,18 +180,11 @@ class ProblemInstance:
     def pricing(self) -> Pricing:
         """Read-only pricing table that every evaluation and search of this instance reads.
 
-        Built on first use, from the devices, the similarity tensor and the
-        requirements; an instance derived by :func:`with_probabilities` or
-        :func:`scale_on_demand_cost` builds its own.
+        :func:`pricing_table` of the devices, the similarity tensor and the
+        requirements, built on first use; an instance derived by
+        :func:`with_probabilities` or :func:`scale_on_demand_cost` builds its own.
         """
-        prices = device_prices(self.devices)
-        unit_prices = [on_demand_unit_cost(dev) for dev in self.devices]
-        cheapest = min(range(len(unit_prices)), key=lambda e: (unit_prices[e], e))
-        coverage = prices.sizes[:, None] * self.similarity
-        snapped = snap(self.requirements)
-        for array in (coverage, snapped):
-            array.setflags(write=False)
-        return Pricing(*prices, cheapest, unit_prices[cheapest], coverage, snapped)
+        return pricing_table(self.devices, self.similarity, self.requirements)
 
     @cached_property
     def bundle_upper_bounds(self) -> np.ndarray:
@@ -203,31 +196,17 @@ class ProblemInstance:
         losing feasibility or raising cost.  Zero where the device never
         matches the interest or demand is zero in every scenario.
         """
-        sim = self.similarity
-        least_positive = np.where(sim > 0.0, sim, np.inf).min(axis=2, initial=np.inf)
-        matrix = bundle_caps(self.requirements.max(axis=1), self.pricing.sizes, least_positive)
+        matrix = bundle_caps(self.requirements, self.pricing.sizes, self.similarity)
         matrix.setflags(write=False)
         return matrix
 
 
-class DevicePrices(NamedTuple):
-    """Read-only float64 ``(device,)`` arrays of a device set, from :func:`device_prices`."""
-
-    sizes: np.ndarray  # bundle sizes
-    memberships: np.ndarray  # membership fees
-    bundle_prices: np.ndarray  # reserved bundle prices
-
-
 class Pricing(NamedTuple):
-    """An instance's pricing table (:attr:`ProblemInstance.pricing`); its arrays are read-only.
+    """A device set's pricing table, from :func:`pricing_table`; its arrays are read-only."""
 
-    It starts with the fields of :class:`DevicePrices`, so it serves wherever
-    those are read.
-    """
-
-    sizes: np.ndarray
-    memberships: np.ndarray
-    bundle_prices: np.ndarray
+    sizes: np.ndarray  # (device,): bundle sizes
+    memberships: np.ndarray  # (device,): membership fees
+    bundle_prices: np.ndarray  # (device,): reserved bundle prices
     cheapest: int  # on-demand device: lowest unit price, ties to the lowest index
     unit_price: float  # its on-demand unit price
     coverage: np.ndarray  # (vsp, device, scenario): size_e * similarity, one bundle's coverage
@@ -285,18 +264,6 @@ def reservation_bundle_cost(device: EdgeDevice) -> float:
     )
 
 
-def device_prices(devices: Sequence[EdgeDevice]) -> DevicePrices:
-    """Bundle sizes, membership fees and bundle prices of ``devices``, in device order."""
-    prices = DevicePrices(
-        np.array([dev.bundle_size for dev in devices], dtype=np.float64),
-        np.array([dev.membership_cost for dev in devices], dtype=np.float64),
-        np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64),
-    )
-    for array in prices:
-        array.setflags(write=False)
-    return prices
-
-
 def on_demand_unit_cost(device: EdgeDevice) -> float:
     """Price of one on-demand transmission: energy for one average payload at the on-demand rate."""
     return (
@@ -317,23 +284,43 @@ def snap(requirement):
     return requirement - SHORTFALL_TOL * np.maximum(1.0, requirement)
 
 
-def bundle_caps(requirements: np.ndarray, bundle_sizes: np.ndarray, similarity: np.ndarray) -> np.ndarray:
-    """Bundles each device alone needs to cover each VSP's requirement, as an int64 ``(vsp, device)`` matrix.
+def pricing_table(devices: Sequence[EdgeDevice], similarity: np.ndarray, requirements: np.ndarray) -> Pricing:
+    """The read-only :class:`Pricing` of ``devices`` against a ``(vsp, device, scenario)`` similarity.
 
-    Entry ``(w, e)`` is ``ceil(requirements[w] / (bundle_sizes[e] * similarity[w, e]))``
-    for requirements ``>= 0`` and similarities in ``(0, inf]``: 0 where the
-    requirement is 0 or the similarity is infinite (the device never
-    matches).  A similarity so small (subnormal) that the count reaches
-    ``2**63`` bounds nothing and is a :class:`ConfigurationError` naming the
-    first such entry in row-major order.
+    ``requirements`` are ``(vsp, scenario)``.  The one builder of the table
+    that SIP, DIP and plan evaluation read.  An empty device set has no
+    on-demand device: ``cheapest`` is -1 and ``unit_price`` infinite.
     """
+    sizes = np.array([dev.bundle_size for dev in devices], dtype=np.float64)
+    memberships = np.array([dev.membership_cost for dev in devices], dtype=np.float64)
+    bundle_prices = np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64)
+    unit_price, cheapest = min(((on_demand_unit_cost(dev), e) for e, dev in enumerate(devices)), default=(math.inf, -1))
+    coverage = sizes[:, None] * similarity
+    snapped = snap(requirements)
+    for array in (sizes, memberships, bundle_prices, coverage, snapped):
+        array.setflags(write=False)
+    return Pricing(sizes, memberships, bundle_prices, cheapest, unit_price, coverage, snapped)
+
+
+def bundle_caps(requirements: np.ndarray, bundle_sizes: np.ndarray, similarity: np.ndarray) -> np.ndarray:
+    """Bundles each device alone needs to cover each VSP's worst case, as an int64 ``(vsp, device)`` matrix.
+
+    ``requirements`` are ``(vsp, scenario)`` and ``similarity`` is ``(vsp,
+    device, scenario)``.  Entry ``(w, e)`` is ``ceil(r / (bundle_sizes[e] *
+    s))`` with ``r`` VSP ``w``'s largest requirement and ``s`` the least
+    positive similarity of ``(w, e)``: 0 where ``r`` is 0 or no similarity is
+    positive (the device never matches).  A least positive similarity so
+    small (subnormal) that the count reaches ``2**63`` bounds nothing and is a
+    :class:`ConfigurationError` naming the first such entry in row-major order.
+    """
+    least_positive = np.where(similarity > 0.0, similarity, np.inf).min(axis=2, initial=np.inf)
     with np.errstate(over="ignore"):
-        counts = np.ceil(requirements[:, None] / (bundle_sizes * similarity))
+        counts = np.ceil(requirements.max(axis=1)[:, None] / (bundle_sizes * least_positive))
     unbounded = np.argwhere(~(counts < 2.0**63))
     if unbounded.size:
         w, e = unbounded[0].tolist()
         raise ConfigurationError(
-            f"VSP {w}, device {e}: similarity {float(similarity[w, e])!r} is too small to bound its bundle count"
+            f"VSP {w}, device {e}: similarity {float(least_positive[w, e])!r} is too small to bound its bundle count"
         )
     return counts.astype(np.int64)
 

@@ -41,7 +41,10 @@ class NodeLimitError(SemallocError):
     zero bundles, so its requirement is left uncovered.  ``lower_bound`` bounds
     the optimal total from below: the finished VSPs' optima plus, for each
     cut-short VSP, the least search bound over its unexplored subtrees (or its
-    incumbent, if lower).  ``gap`` is ``(partial total - lower_bound) /
+    incumbent, if lower).  The depth-first search leaves shallow subtrees
+    unopened until late, so this bound rises only as they close and may stall
+    over a wide range of budgets: a larger budget narrows the gap mostly
+    through a better incumbent.  ``gap`` is ``(partial total - lower_bound) /
     partial total``, 0 when both are 0, and infinite when the partial plan
     leaves a requirement uncovered.
     """

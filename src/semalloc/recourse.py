@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core_model import CostBreakdown, DevicePrices, Pricing, ProblemInstance
+from .core_model import CostBreakdown, Pricing, ProblemInstance
 
 
 def _whole(values, subject: str) -> np.ndarray:
@@ -182,16 +182,16 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(padded, axis=-1)[..., -1]
 
 
-def _stage1_costs(bundles: np.ndarray, prices: DevicePrices | Pricing) -> tuple[np.ndarray, np.ndarray]:
+def _stage1_costs(bundles: np.ndarray, pricing: Pricing) -> tuple[np.ndarray, np.ndarray]:
     """Membership and reservation totals of each plan in an ``(n, vsp, device)`` stack.
 
-    ``prices`` are the device set's per-device arrays.  Summed vsp-major, in
+    Priced by the device set's ``pricing`` table.  Summed vsp-major, in
     (vsp, device) order; membership is paid where bundles are.  A (vsp,
     device) with no bundles adds zero, which leaves the partial sum as it was.
     """
     flat = (bundles.shape[0], bundles.shape[1] * bundles.shape[2])
-    membership = _ordered_sum(((bundles >= 1) * prices.memberships).reshape(flat))
-    return membership, _ordered_sum((bundles * prices.bundle_prices).reshape(flat))
+    membership = _ordered_sum(((bundles >= 1) * pricing.memberships).reshape(flat))
+    return membership, _ordered_sum((bundles * pricing.bundle_prices).reshape(flat))
 
 
 def optimal_recourse(plan: ReservationPlan, instance: ProblemInstance) -> RecourseDecision:

@@ -19,7 +19,7 @@ win, or tie, the incumbent.  DIP uses the same search with an uncapped price,
 which prunes every subtree that can no longer cover its gap.  Both programs
 build their search data (exploration orders, bundle prices, dual ratios and
 coverage rows) for every VSP at once in one numpy set-up,
-:func:`_priced_search_setup`; SIP's reads the instance's pricing table.  Among
+:func:`_priced_search_setup`, from a ``core_model.pricing_table``.  Among
 equal-cost optima the lexicographically smallest bundle vector by device index
 is returned, which keeps results reproducible regardless of the exploration
 order heuristic.  A sweep along one parameter in which every plan's cost is
@@ -40,13 +40,11 @@ import numpy as np
 
 from .core_model import (
     CostBreakdown,
-    DevicePrices,
     EdgeDevice,
     Pricing,
     ProblemInstance,
     bundle_caps,
-    device_prices,
-    snap,
+    pricing_table,
     validate_instance,
 )
 from .errors import InfeasibleError, NodeLimitError, SemallocError, ValidationFailure
@@ -148,8 +146,7 @@ class _SearchSetup(NamedTuple):
 
 
 def _priced_search_setup(
-    prices: DevicePrices | Pricing,
-    rows: np.ndarray,
+    pricing: Pricing,
     similarity: np.ndarray,
     weights: Sequence[float],
     cap: float,
@@ -157,12 +154,10 @@ def _priced_search_setup(
 ) -> _SearchSetup:
     """Exploration order, dual ratios and coverage rows of every VSP's search, built at once.
 
-    ``prices`` are the devices' per-device arrays (an instance's
-    :class:`~semalloc.core_model.Pricing` table serves), ``similarity`` is
-    ``(vsp, device, scenario)`` and ``upper`` the ``(vsp, device)`` search
-    bounds.  One bundle of device ``e`` covers ``a_ei = size_e *
-    similarity[w, e, i]`` in scenario ``i``: ``rows[w, e, i]``, the table's
-    ``coverage``.
+    ``pricing`` is the devices' table for ``similarity``, which is ``(vsp,
+    device, scenario)``, and ``upper`` the ``(vsp, device)`` search bounds.
+    One bundle of device ``e`` covers ``a_ei = size_e * similarity[w, e, i]``
+    in scenario ``i``: ``rows[w, e, i]``, the table's ``coverage``.
 
     - **Order.**  Devices by ascending reservation cost per expected relevant
       unit, ``b_e / (size_e * sum_i weights_i * similarity[w, e, i])``, ties
@@ -183,7 +178,7 @@ def _priced_search_setup(
     (:func:`~semalloc.recourse._ordered_sum`), so orders and ratios have the
     bits of the per-VSP sums they stand for.
     """
-    sizes, memberships, bundle_costs = prices.sizes, prices.memberships, prices.bundle_prices
+    sizes, memberships, bundle_costs, rows = pricing.sizes, pricing.memberships, pricing.bundle_prices, pricing.coverage
     scenario_weights = np.asarray(weights, dtype=np.float64)
     expected = _ordered_sum(scenario_weights * similarity)
     weighted = _ordered_sum(scenario_weights * rows)
@@ -439,19 +434,16 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
     device with positive similarity (reservation alone cannot cover it).
     """
     config = config or SolverConfig()
-    devices = dip.devices
-    num_devices = len(devices)
-    requirements = dip.actual_quantity * dip.actual_threshold
-    matching = np.where(dip.actual_similarity > 0.0, dip.actual_similarity, math.inf)
-    prices = device_prices(devices)
-    caps = bundle_caps(requirements, prices.sizes, matching)
+    num_devices = len(dip.devices)
+    requirements = (dip.actual_quantity * dip.actual_threshold)[:, None]
     similarity = dip.actual_similarity[:, :, None]
-    setup = _priced_search_setup(prices, prices.sizes[:, None] * similarity, similarity, [1.0], math.inf, caps)
+    pricing = pricing_table(dip.devices, similarity, requirements)
+    caps = bundle_caps(requirements, pricing.sizes, similarity)
+    setup = _priced_search_setup(pricing, similarity, [1.0], math.inf, caps)
 
-    bundles = np.zeros((dip.num_vsps, num_devices), dtype=np.int64)
     outcomes = []
     for w in range(dip.num_vsps):
-        requirement = float(requirements[w])
+        requirement = float(requirements[w, 0])
         if requirement <= 0.0:
             outcomes.append(_SearchOutcome(0.0, (0,) * num_devices, 0, False, 0.0, 0.0))
             continue
@@ -459,19 +451,18 @@ def solve_dip(dip: DipInstance, config: SolverConfig | None = None) -> Solution:
             raise InfeasibleError(
                 w, f"VSP {w}: requirement {requirement} but no device has positive similarity"
             )
-        need = float(snap(requirement))
+        need = float(pricing.snapped[w, 0])
         outcome = _dfs_bundle_search(
             setup, w, [need], lambda covered: 0.0 if covered[0] >= need else None, config.node_limit
         )
         outcomes.append(outcome)
-        if outcome.bundles is not None:
-            bundles[w] = outcome.bundles
-        elif not outcome.exceeded:
+        if outcome.bundles is None and not outcome.exceeded:
             raise InfeasibleError(
                 w, f"VSP {w}: no bundle vector within the search bounds covers {requirement}"
             )
 
-    membership_total, reservation_total = _stage1_costs(bundles[None], prices)
+    bundles = _outcome_bundles(outcomes, num_devices)
+    membership_total, reservation_total = _stage1_costs(bundles[None], pricing)
     solution = Solution(
         ReservationPlan.from_bundles(bundles),
         RecourseDecision(np.zeros((dip.num_vsps, num_devices, 1), dtype=np.int64)),
@@ -515,9 +506,7 @@ def _sip_searches(instance: ProblemInstance, node_limit: int, vsps: Iterable[int
     probabilities = [scen.probability for scen in instance.scenarios]
     # the search bounds are read only when some VSP has a gap to close
     setup = (
-        _priced_search_setup(
-            pricing, pricing.coverage, instance.similarity, probabilities, cheapest_unit, instance.bundle_upper_bounds
-        )
+        _priced_search_setup(pricing, instance.similarity, probabilities, cheapest_unit, instance.bundle_upper_bounds)
         if (pricing.snapped > 0.0).any()
         else None
     )
@@ -537,13 +526,18 @@ def _sip_searches(instance: ProblemInstance, node_limit: int, vsps: Iterable[int
 
 def _sip_solution(instance: ProblemInstance, outcomes: Sequence[_SearchOutcome], node_limit: int) -> Solution:
     """:func:`evaluate_total` of the plan of every VSP's outcome; :class:`NodeLimitError` if one was cut."""
-    bundles = np.zeros((instance.num_vsps, instance.num_devices), dtype=np.int64)
+    solution = evaluate_total(ReservationPlan.from_bundles(_outcome_bundles(outcomes, instance.num_devices)), instance)
+    _raise_if_cut(solution, outcomes, node_limit, feasible=True)  # zero bundles buy on demand
+    return solution
+
+
+def _outcome_bundles(outcomes: Sequence[_SearchOutcome], num_devices: int) -> np.ndarray:
+    """The ``(vsp, device)`` bundle matrix of per-VSP outcomes: zero where a search found no plan."""
+    bundles = np.zeros((len(outcomes), num_devices), dtype=np.int64)
     for w, outcome in enumerate(outcomes):
         if outcome.bundles is not None:
             bundles[w] = outcome.bundles
-    solution = evaluate_total(ReservationPlan.from_bundles(bundles), instance)
-    _raise_if_cut(solution, outcomes, node_limit, feasible=True)  # zero bundles buy on demand
-    return solution
+    return bundles
 
 
 def solve_sip_grid(instances: Sequence[ProblemInstance], config: SolverConfig | None = None) -> list[Solution]:

@@ -26,7 +26,6 @@ from semalloc import (
     shortfalls,
     with_probabilities,
 )
-from semalloc.core_model import device_prices
 from semalloc.recourse import _stage1_costs
 from semalloc.solvers import _priced_search_setup
 from _support import make_random_instance, random_plan
@@ -92,7 +91,7 @@ class TestPricingTable:
         stack = np.stack([random_plan(rng, inst).bundles for _ in range(4)])
         assert inst.pricing.cheapest == former_cheapest_device(inst)
         assert np.array_equal(shortfalls(stack, inst), former_shortfalls(stack, inst))
-        assert [column.tolist() for column in _stage1_costs(stack, device_prices(inst.devices))] == [
+        assert [column.tolist() for column in _stage1_costs(stack, inst.pricing)] == [
             column.tolist() for column in former_stage1_costs(stack, inst.devices)
         ]
         assert [column.tolist() for column in evaluate_many(stack, inst)] == [
@@ -100,9 +99,9 @@ class TestPricingTable:
         ]
         # SIP's search set-up, read from the table, equals the one built from the bare devices
         pricing, weights, upper = inst.pricing, list(inst.probabilities), inst.bundle_upper_bounds
-        assert _priced_search_setup(
-            pricing, pricing.coverage, inst.similarity, weights, pricing.unit_price, upper
-        ) == bare_search_setup(inst.devices, inst.similarity, weights, pricing.unit_price, upper)
+        assert _priced_search_setup(pricing, inst.similarity, weights, pricing.unit_price, upper) == bare_search_setup(
+            inst.devices, inst.similarity, weights, pricing.unit_price, upper
+        )
         for bundles in stack:
             plan = ReservationPlan.from_bundles(bundles)
             cost, tensor = former_evaluate_total(plan, inst)
@@ -118,7 +117,7 @@ class TestPricingTable:
         assert pricing.coverage.shape == (singapore.num_vsps, singapore.num_devices, singapore.num_scenarios)
         assert pricing.snapped.shape == (singapore.num_vsps, singapore.num_scenarios)
         arrays = [pricing.sizes, pricing.memberships, pricing.bundle_prices, pricing.coverage, pricing.snapped]
-        for array in arrays + list(device_prices(singapore.devices)):
+        for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1.0

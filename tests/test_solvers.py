@@ -30,7 +30,7 @@ from _support import (
     oracle_bundle_bounds,
     random_plan,
 )
-from semalloc.core_model import device_prices, reservation_bundle_cost
+from semalloc.core_model import pricing_table, reservation_bundle_cost
 from semalloc.errors import ConfigurationError
 from semalloc.recourse import shortfalls
 from semalloc.solvers import (
@@ -169,8 +169,13 @@ class TestSolveDip:
         assert solution.plan.bundles.tolist() == [[2]]
         assert solution.cost.expected_on_demand == 0.0
 
-    def test_zero_demand_zero_plan(self):
-        dip = make_dip([[0.8]], [0])
+    @pytest.mark.parametrize(
+        "similarity, quantity",
+        [([[0.8]], 0), ([[0.5, 0.0]], 1e-10), (np.zeros((1, 0)), 0)],
+        ids=["zero", "under-the-snap-tolerance", "no-devices"],
+    )
+    def test_zero_demand_zero_plan(self, similarity, quantity):
+        dip = make_dip(similarity, [quantity])
         solution = solve_dip(dip)
         assert not solution.plan.bundles.any()
         assert solution.cost.total == 0.0
@@ -181,11 +186,22 @@ class TestSolveDip:
         solution = solve_dip(dip)
         assert solution.plan.bundles.tolist() == [[0, 1]]
 
-    def test_infeasible_names_vsp(self):
-        dip = make_dip([[0.5, 0.5], [0.0, 0.0]], [10, 10])
-        with pytest.raises(InfeasibleError) as err:
-            solve_dip(dip)
-        assert err.value.vsp == 1
+    @pytest.mark.parametrize(
+        "similarity, quantities, node_limit, vsp, requirement",
+        [
+            ([[0.5, 0.5], [0.0, 0.0]], [10, 10], None, 1, "10.0"),
+            ([[0.5, 0.5], [0.0, 0.0]], [10, 3.5], None, 1, "3.5"),
+            ([[0.5, 0.5], [0.0, 0.0]], [10, 3.5], 1, 1, "3.5"),  # VSP 0's search is cut first
+            ([[0.0, 0.0]], [1e-10], None, 0, "1e-10"),  # under the snap tolerance, yet positive
+        ],
+        ids=["unmatched", "unmatched-fraction", "unmatched-after-a-cut", "unmatched-tiny"],
+    )
+    def test_infeasible_names_vsp(self, similarity, quantities, node_limit, vsp, requirement):
+        dip = make_dip(similarity, quantities)
+        message = f"VSP {vsp}: requirement {requirement} but no device has positive similarity"
+        with pytest.raises(InfeasibleError, match=message) as err:
+            solve_dip(dip, SolverConfig(node_limit=node_limit) if node_limit else None)
+        assert err.value.vsp == vsp
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -0.5, 1.5])
     def test_rejects_a_threshold_outside_the_unit_interval(self, threshold):
@@ -709,9 +725,9 @@ def _tie_rule_plan(plans: np.ndarray, instance: sm.ProblemInstance, covering_onl
 
 
 def bare_search_setup(devices, similarity, weights, cap, upper):
-    """The search set-up of a device set read without a pricing table, as DIP builds it."""
-    prices = device_prices(devices)
-    return _priced_search_setup(prices, prices.sizes[:, None] * similarity, similarity, weights, cap, upper)
+    """The search set-up of a device set, from its pricing table for ``similarity`` and no requirements."""
+    pricing = pricing_table(devices, similarity, np.zeros((similarity.shape[0], similarity.shape[2])))
+    return _priced_search_setup(pricing, similarity, weights, cap, upper)
 
 
 def _former_rules(devices, expected_similarity, similarity, weights, cap, upper):
@@ -1040,6 +1056,22 @@ class TestScalingWall:
         total = solve_sip(inst).cost.total
         assert total == pytest.approx(oracle.highs_total(inst), rel=TIE_REL)
         assert total <= sm.solve_evf(inst).cost.total * (1 + TIE_REL)  # RP <= EEV
+
+    @pytest.mark.parametrize("seed, num_devices, num_scenarios", [(1, 80, 8), (1, 40, 16), (0, 80, 16), (3, 80, 16)])
+    def test_wide_hard_optima_beat_their_neighbours_and_both_baselines(self, seed, num_devices, num_scenarios):
+        # the HiGHS cases' scale without scipy: no +-1 neighbour is cheaper, RP <= EEV and RP <= random-min
+        inst = hard_instance(seed, num_devices, num_scenarios)
+        solution = solve_sip(inst)
+        total, bundles = solution.cost.total, solution.plan.bundles
+        neighbours = []
+        for e in range(num_devices):
+            for delta in (-1, 1):
+                if bundles[0, e] + delta >= 0:
+                    neighbours.append(bundles.copy())
+                    neighbours[-1][0, e] += delta
+        assert (sm.evaluate_many(np.stack(neighbours), inst).total >= total * (1 - TIE_REL)).all()
+        assert total <= sm.solve_evf(inst).cost.total * (1 + TIE_REL)
+        assert total <= sm.solve_random(inst, sm.RandomSchemeConfig(seed=0, samples=100)).min_total * (1 + TIE_REL)
 
     def test_a_cut_search_at_the_wall_never_bounds_above_the_optimum(self):
         inst = hard_instance(1, 80, 8)
