@@ -15,18 +15,27 @@ membership per bundle; and by weak duality the priced gap never exceeds what
 the subtree still pays.  The bound is convex and piecewise linear in the next
 device's count, so each node visits its children least bound first, outward
 from the bound's minimiser, and stops at the first child that can no longer
-win, or tie, the incumbent.  DIP uses the same search with an uncapped price,
-which prunes every subtree that can no longer cover its gap.  Both programs
-build their search data (exploration orders, bundle prices, dual ratios and
-coverage rows) for every VSP at once in one numpy set-up,
-:func:`_priced_search_setup`, from a ``core_model.pricing_table``.  Among
-equal-cost optima the lexicographically smallest bundle vector by device index
-is returned, which keeps results reproducible regardless of the exploration
-order heuristic.  A sweep along one parameter in which every plan's cost is
-affine (the on-demand price factor, or the probabilities ``(p, 1 - p)``) is
-solved by :func:`solve_sip_grid`: each VSP is searched at the grid's ends,
-and only the intervals whose ends do not prove one plan are bisected.  It and
-:func:`solve_sip` share one per-point path, :func:`_sip_searches`.
+win, or tie, the incumbent.  A program with recourse (SIP) also prices, once
+its search of ``E`` devices and ``N`` scenarios reaches node ``E * N + 1``,
+the zero plan and each one-device plan whose count closes one scenario's gap,
+as the search itself would price those leaves.  The best of them joins the
+incumbents, and each device's count is then capped at the largest whose
+stage-1 cost alone still fits the incumbent's tie window, with its dual ratio
+repriced at the new cap: objective-based bound tightening seeded by a primal
+heuristic (Savelsbergh, ORSA J. Computing 6(4), 1994).  A search that ends
+sooner never pays for that pass.  DIP uses the same search with an uncapped
+price, which prunes every subtree that can no longer cover its gap, and
+without the pass.  Both programs build their search data (exploration orders,
+bundle prices, dual ratios and coverage rows) for every VSP at once in one
+numpy set-up, :func:`_priced_search_setup`, from a
+``core_model.pricing_table``.  Among equal-cost optima the lexicographically
+smallest bundle vector by device index is returned, which keeps results
+reproducible regardless of the exploration order heuristic.  A sweep along one
+parameter in which every plan's cost is affine (the on-demand price factor, or
+the probabilities ``(p, 1 - p)``) is solved by :func:`solve_sip_grid`: each
+VSP is searched at the grid's ends, and only the intervals whose ends do not
+prove one plan are bisected.  It and :func:`solve_sip` share one per-point
+path, :func:`_sip_searches`.
 """
 
 from __future__ import annotations
@@ -138,6 +147,7 @@ class _SearchSetup(NamedTuple):
     orders: list[list[int]]  # (vsp, depth): the device branched on at each depth
     ratios: list[list[float]]  # (vsp, device): p_e / sum_i weights_i * a_ei, inf where the sum is 0
     rows: list[list[list[float]]]  # (vsp, device, scenario): a_ei, the coverage of one bundle
+    weighted: list[list[float]]  # (vsp, device): sum_i weights_i * a_ei, the divisor of each ratio
     upper: list[list[int]]  # (vsp, device): the search bounds U_e
     memberships: list[float]
     bundle_costs: list[float]
@@ -189,7 +199,7 @@ def _priced_search_setup(
         lp_prices = np.where(upper > 0, bundle_costs + memberships / upper, bundle_costs)
         ratios = np.where(weighted > 0.0, lp_prices / weighted, math.inf)
     orders = np.lexsort((per_unit, idle))  # stable: equal keys keep device-index order
-    arrays = (orders, ratios, rows, upper, memberships, bundle_costs)
+    arrays = (orders, ratios, rows, weighted, upper, memberships, bundle_costs)
     return _SearchSetup(*(array.tolist() for array in arrays), list(weights), cap)
 
 
@@ -207,6 +217,45 @@ def _suffix_scales(order: Sequence[int], ratios: Sequence[float], cap: float) ->
     positive gap can no longer be covered.
     """
     return list(accumulate((ratios[device] for device in reversed(order)), min, initial=cap))[::-1]
+
+
+def _objective_caps(setup: _SearchSetup, w: int, ceiling: float) -> tuple[list[int], list[float]]:
+    """VSP ``w``'s search bounds and dual ratios once no plan costing more than ``ceiling`` can win.
+
+    A plan with ``k >= 1`` bundles of device ``e`` costs, as the search sums
+    it, at least ``fl(m_e + fl(k * b_e))``: float addition is monotone and
+    every other term is non-negative.  So each bound ``U_e`` falls to the
+    largest ``k`` whose stage-1 floor is at most ``ceiling``, found by
+    bisection on that floor and so never below it; a device that pays nothing
+    per bundle keeps its bound.  This is objective-based bound tightening
+    (Savelsbergh, "Preprocessing and probing techniques for mixed integer
+    programming problems", ORSA J. Computing 6(4), 1994).  Each capped
+    device's ratio is repriced as in :func:`_priced_search_setup`, at ``b_e +
+    m_e / U_e`` (``b_e`` at ``U_e = 0``) over ``setup.weighted``.
+    """
+    upper, ratios, weighted = list(setup.upper[w]), list(setup.ratios[w]), setup.weighted[w]
+    for e, (membership, step, bound) in enumerate(zip(setup.memberships, setup.bundle_costs, upper)):
+        if not bound or step <= 0.0 or membership + bound * step <= ceiling:
+            continue
+        low, high = 0, bound  # ``high`` bundles alone cost more than the ceiling
+        estimate = (ceiling - membership) / step  # may overflow when ``step`` is tiny: then it lies outside
+        guess = int(estimate) if 0.0 < estimate < high else 0
+        for mid in (guess, guess + 1):  # the float estimate and the count after it settle most caps
+            if low < mid < high:
+                if membership + mid * step <= ceiling:
+                    low = mid
+                else:
+                    high = mid
+        while high - low > 1:
+            mid = (low + high) // 2
+            if membership + mid * step <= ceiling:
+                low = mid
+            else:
+                high = mid
+        upper[e] = low
+        if weighted[e] > 0.0:
+            ratios[e] = (step + membership / low if low else step) / weighted[e]
+    return upper, ratios
 
 
 def _weighted_gap(needs: Sequence[float], covered: Sequence[float], weights: Sequence[float]) -> float:
@@ -359,11 +408,27 @@ def _dfs_bundle_search(
     whatever the visiting order.  When the budget runs out, each node on the
     way back up adds the bound of its next child pending, which bounds all its
     children left unexplored.
+
+    With recourse (``setup.cap`` finite), node ``E * N + 1`` first offers the
+    zero plan and, for each device ``e`` with ``U_e > 0`` and each scenario
+    ``i`` with ``needs_i > 0`` and ``a_ei > 0``, the plan of ``min(U_e, max(1,
+    ceil(needs_i / a_ei)))`` bundles of ``e`` alone, priced with the leaves'
+    own arithmetic and offered as a leaf.  Then :func:`_objective_caps` caps
+    every ``U_e`` at the incumbent's ceiling and reprices the dual scales.
+    The caps bind only plans outside the tie window, which holds the optimum
+    and every plan the search can still return, so the search returns what it
+    returned without them and, cut, bounds the optimum from below.  Bounds
+    priced before the caps stay valid, only looser.  A search cut after that
+    node returns a plan at least as good as the best one-device plan the pass
+    priced; its lower bound can still stall.  A budget of at most ``E * N``
+    nodes never reaches the pass.
     """
     order, coverage_rows, upper_bounds = setup.orders[w], setup.rows[w], setup.upper[w]
     membership_costs, bundle_costs, weights = setup.memberships, setup.bundle_costs, setup.weights
     num_devices = len(order)
     scales = _suffix_scales(order, setup.ratios[w], setup.cap)
+    # the budget or, with recourse, the last node before the one-device plans are priced and the counts capped
+    watch = min(node_limit, num_devices * len(needs)) if setup.cap < math.inf else node_limit
     best_cost = math.inf
     ceiling = math.inf  # the incumbent plus its tie window
     tied: list[tuple[float, tuple[int, ...]]] = []  # leaves within the window, with their costs
@@ -372,24 +437,51 @@ def _dfs_bundle_search(
     exceeded = False
     frontier = math.inf
 
+    def offer(cost: float, plan: tuple[int, ...]) -> None:
+        nonlocal best_cost, ceiling, tied
+        if cost < best_cost:
+            best_cost = cost
+            ceiling = cost + TIE_REL * cost
+            tied = [leaf for leaf in tied if leaf[0] <= ceiling]
+        if cost <= ceiling:
+            tied.append((cost, plan))
+
+    def tighten() -> None:
+        # the zero plan and each leaf k * e_e whose count k closes one scenario's gap, priced as the DFS sums them
+        nonlocal upper_bounds, scales
+        offer(0.0 + leaf_cost([0.0] * len(needs)), (0,) * num_devices)
+        for device, (upper, row) in enumerate(zip(upper_bounds, coverage_rows)):
+            membership, step = membership_costs[device], bundle_costs[device]
+            if not upper or membership + step > ceiling:
+                continue  # no count, or one bundle alone costs more than the incumbent
+            counts = {min(upper, max(1, math.ceil(need / a))) for need, a in zip(needs, row) if need > 0.0 and a > 0.0}
+            for count in sorted(counts):
+                stage1 = 0.0 + (membership + count * step)
+                if stage1 > ceiling:
+                    break
+                cost = stage1 + leaf_cost([0.0 + count * a for a in row])
+                if cost <= ceiling:
+                    offer(cost, tuple(count if e == device else 0 for e in range(num_devices)))
+        upper_bounds, ratios = _objective_caps(setup, w, ceiling)
+        scales = _suffix_scales(order, ratios, setup.cap)
+
     def recurse(depth: int, stage1: float, covered: list[float], gap: float) -> None:
-        nonlocal best_cost, ceiling, tied, nodes, exceeded, frontier
+        nonlocal nodes, exceeded, frontier, watch
         nodes += 1
-        if nodes > node_limit:
-            exceeded = True
-            frontier = min(frontier, (stage1 + scales[depth] * gap) if gap > 0.0 else stage1)
-            return
+        if nodes > watch:
+            if nodes > node_limit:
+                exceeded = True
+                frontier = min(frontier, (stage1 + scales[depth] * gap) if gap > 0.0 else stage1)
+                return
+            watch = node_limit
+            tighten()
         if depth == num_devices:
             extra = leaf_cost(covered)
             if extra is None:
                 return
             cost = stage1 + extra
-            if cost < best_cost:
-                best_cost = cost
-                ceiling = cost + TIE_REL * cost
-                tied = [leaf for leaf in tied if leaf[0] <= ceiling]
             if cost <= ceiling:
-                tied.append((cost, tuple(vec)))
+                offer(cost, tuple(vec))
             return
         device = order[depth]
         zero = (stage1 + scales[depth + 1] * gap) if gap > 0.0 else stage1
@@ -421,6 +513,9 @@ def _dfs_bundle_search(
 
     empty = [0.0] * len(needs)
     recurse(0, 0.0, empty, _weighted_gap(needs, empty, weights))
+    # ``recurse`` refers to itself through its closure; unbinding it lets reference counting free the
+    # search's state at once, where the cycle collector would run every few hundred searches
+    del recurse
     if not tied:
         return _SearchOutcome(None, None, nodes, exceeded, frontier, None)
     own_cost, chosen = min(tied, key=lambda leaf: leaf[1])

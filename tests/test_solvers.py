@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -37,7 +38,9 @@ from semalloc.solvers import (
     TIE_REL,
     _child_bounds,
     _counts_by_bound,
+    _objective_caps,
     _priced_search_setup,
+    _SearchSetup,
     _suffix_scales,
     _weighted_gap,
 )
@@ -724,6 +727,13 @@ def _tie_rule_plan(plans: np.ndarray, instance: sm.ProblemInstance, covering_onl
     return best, min(tied)
 
 
+def _nudged(x: float, ulps: int) -> float:
+    """``x`` moved ``ulps`` units in the last place up (positive) or down (negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
 def bare_search_setup(devices, similarity, weights, cap, upper):
     """The search set-up of a device set, from its pricing table for ``similarity`` and no requirements."""
     pricing = pricing_table(devices, similarity, np.zeros((similarity.shape[0], similarity.shape[2])))
@@ -921,9 +931,9 @@ class TestRecourseBound:
             assert after >= before - 1e-12 * max(1.0, abs(before))
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), membership_scale=st.sampled_from([1.0, 10.0, 1000.0]), data=st.data())
+    @given(seed=st.integers(0, 2**32 - 1), membership_scale=st.sampled_from([0.0, 1.0, 10.0, 1000.0]), data=st.data())
     def test_node_bound_never_exceeds_its_subtree_minimum(self, seed, membership_scale, data):
-        # larger memberships make ``m_e / U_e`` a larger share of each bundle's price
+        # larger memberships make ``m_e / U_e`` a larger share of each bundle's price; 0 drops it
         inst = make_decimal_instance(np.random.default_rng(seed))
         devices = tuple(
             dataclasses.replace(dev, membership_cost=dev.membership_cost * membership_scale) for dev in inst.devices
@@ -957,6 +967,110 @@ class TestRecourseBound:
         minimum = costs[subtree].min()
         assert bound <= minimum + 1e-12 * max(1.0, minimum), (bound, minimum)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), membership_scale=st.sampled_from([0.0, 1.0, 10.0, 1000.0]), data=st.data())
+    def test_capped_node_bound_never_exceeds_its_subtree_minimum_under_the_ceiling(
+        self, seed, membership_scale, data
+    ):
+        # caps and ratios from a ceiling at or above the optimum; the subtree counts stay within the uncapped bounds
+        inst = make_decimal_instance(np.random.default_rng(seed))
+        devices = tuple(
+            dataclasses.replace(dev, membership_cost=dev.membership_cost * membership_scale) for dev in inst.devices
+        )
+        inst = sm.ProblemInstance(devices, inst.vsps, inst.scenarios, inst.similarity)
+        order = data.draw(st.permutations(range(inst.num_devices)), label="order")
+        memberships = [dev.membership_cost for dev in devices]
+        bundle_costs = [reservation_bundle_cost(dev) for dev in devices]
+        rows = (np.array([dev.bundle_size for dev in devices])[:, None] * inst.similarity[0]).tolist()
+        unit = min(on_demand_unit_cost(dev) for dev in devices)
+        probabilities = list(inst.probabilities)
+        ubs = [bundle_upper_bound(0, e, inst) for e in range(inst.num_devices)]
+        needs = inst.pricing.snapped[0].tolist()
+
+        plans = _lattice_plans(inst)
+        costs = np.where((plans <= ubs).all(axis=1), _lattice_costs(plans, inst), np.inf)
+        optimum = costs.min()
+        ceiling = data.draw(
+            st.sampled_from([optimum, optimum + TIE_REL * optimum, costs[costs < np.inf].max()])
+            | st.sampled_from(sorted(set(costs[costs >= optimum].tolist()) - {np.inf})),
+            label="ceiling",
+        )
+        setup = bare_search_setup(devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds)
+        _, ratios = _objective_caps(setup, 0, ceiling)
+        scales = _suffix_scales(order, ratios, unit)
+
+        depth = data.draw(st.integers(0, inst.num_devices), label="depth")
+        stage1, covered = 0.0, [0.0] * inst.num_scenarios
+        subtree = costs <= ceiling
+        for e in order[:depth]:
+            count = data.draw(st.integers(0, ubs[e]), label=f"count of device {e}")
+            if count:
+                stage1 = stage1 + (memberships[e] + count * bundle_costs[e])
+                covered = [c + count * r for c, r in zip(covered, rows[e])]
+            subtree &= plans[:, e] == count
+        if not subtree.any():
+            return  # no plan under the ceiling: the search prunes this node whatever its bound
+        gap = _weighted_gap(needs, covered, probabilities)
+        bound = stage1 + scales[depth] * gap if gap > 0.0 else stage1
+        minimum = costs[subtree].min()
+        assert bound <= minimum + 1e-12 * max(1.0, minimum), (bound, minimum)
+
+    def test_capped_root_bound_at_the_optimum_never_exceeds_it(self):
+        # the tightest caps: the ceiling is the optimum itself, which an exact cover by one device can meet
+        for seed in [1435, *range(200)]:
+            inst = make_decimal_instance(np.random.default_rng(seed))
+            probabilities, unit = list(inst.probabilities), inst.pricing.unit_price
+            plans = _lattice_plans(inst)
+            optimum = _lattice_costs(plans, inst)[(plans <= inst.bundle_upper_bounds[0]).all(axis=1)].min()
+            setup = bare_search_setup(inst.devices, inst.similarity, probabilities, unit, inst.bundle_upper_bounds)
+            _, ratios = _objective_caps(setup, 0, optimum)
+            root = _suffix_scales(setup.orders[0], ratios, unit)[0] * _weighted_gap(
+                inst.pricing.snapped[0].tolist(), [0.0] * inst.num_scenarios, probabilities
+            )
+            assert root <= optimum + 1e-12 * max(1.0, optimum), (seed, root, optimum)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        membership=st.just(0.0) | st.floats(1e-6, 1e6),
+        step=st.floats(1e-12, 1e6),
+        upper=st.integers(1, 2_000),
+        weighted=st.just(0.0) | st.floats(1e-3, 1e3),
+        data=st.data(),
+    )
+    @example(membership=1e6, step=1e-11, upper=100, weighted=1.0, data=None)  # 5 bundles round away in 1e6
+    def test_cap_is_the_largest_count_whose_stage1_floor_fits_the_ceiling(
+        self, membership, step, upper, weighted, data
+    ):
+        if data is None:
+            ceiling = membership
+        else:
+            # a free ceiling, or one within two ulps of some count's stage-1 floor
+            near = st.tuples(st.integers(0, upper + 1), st.integers(-2, 2)).map(
+                lambda pair: _nudged(membership + pair[0] * step, pair[1])
+            )
+            ceiling = data.draw(st.floats(1e-6, 1e6) | near, label="ceiling")
+        ratio = (step + membership / upper) / weighted if weighted else math.inf
+        setup = _SearchSetup([[0]], [[ratio]], [[[1.0]]], [[weighted]], [[upper]], [membership], [step], [1.0], 1.0)
+        (cap,), (capped_ratio,) = _objective_caps(setup, 0, ceiling)
+        fits = [k for k in range(1, upper + 1) if membership + k * step <= ceiling]
+        largest = max(fits, default=0)
+        assert largest <= cap <= min(largest + 1, upper)
+        if cap == upper:
+            assert capped_ratio == ratio
+        elif weighted:
+            assert capped_ratio == ((step + membership / cap) if cap else step) / weighted
+        else:
+            assert capped_ratio == math.inf
+
+    def test_a_device_that_pays_nothing_per_bundle_keeps_its_bound(self):
+        setup = _SearchSetup([[0]], [[0.5]], [[[1.0]]], [[0.2]], [[7]], [0.1], [0.0], [1.0], 1.0)
+        assert _objective_caps(setup, 0, 0.05) == ([7], [0.5])
+
+    def test_a_subnormal_bundle_price_under_a_larger_membership_caps_at_zero(self):
+        # (ceiling - m) / b overflows to -inf: the estimate is skipped and bisection settles the cap
+        setup = _SearchSetup([[0]], [[1.0]], [[[1.0]]], [[1.0]], [[7]], [1e6], [5e-324], [1.0], 1.0)
+        assert _objective_caps(setup, 0, 1.0) == ([0], [5e-324])
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 1e6]))
     @example(seed=60, scale=1.0)  # 59 bundles split over the twins; rounding once picked (1, 58)
@@ -981,13 +1095,17 @@ class TestRecourseBound:
         assert tuple(solution.plan.bundles[0].tolist()) == expected
 
 
-def hard_instance(seed: int, num_devices: int = 9, num_scenarios: int = 3) -> sm.ProblemInstance:
+def hard_instance(
+    seed: int, num_devices: int = 9, num_scenarios: int = 3, memberships: Sequence[float] | None = None
+) -> sm.ProblemInstance:
     """One VSP, nine devices, three scenarios: the family that hit the node budget.
 
     Quantity 400-599, thresholds 0.5-1.0 and similarity 0.05-0.99 on the
     hundredths grid, bundle size 5-10: hundreds of counts per device, so a
     search pruned on stage-1 cost alone runs out of 10 000 nodes.  Wider
-    members of the family take more devices and scenarios.
+    members of the family take more devices and scenarios.  ``memberships``,
+    one per device, replace the drawn ones after the draw, so every other
+    value is the same as without them.
     """
     rng = np.random.default_rng(seed)
 
@@ -1015,7 +1133,41 @@ def hard_instance(seed: int, num_devices: int = 9, num_scenarios: int = 3) -> sm
         for p in np.diff(cuts, prepend=0, append=100) / 100
     )
     similarity = hundredths(0.05, 0.99, size=(1, num_devices, num_scenarios))
+    if memberships is not None:
+        devices = tuple(dataclasses.replace(dev, membership_cost=m) for dev, m in zip(devices, memberships, strict=True))
     return sm.ProblemInstance(devices, (sm.Vsp(0),), scenarios, similarity)
+
+
+def low_membership_instance(seed: int, num_devices: int, num_scenarios: int, memberships: str) -> sm.ProblemInstance:
+    """:func:`hard_instance` with every membership 0 (``"zero"``) or drawn in 0.001-0.01 (``"low"``).
+
+    The low memberships are ``round(u, 3)`` of one uniform draw per device
+    from ``default_rng(30_000 + seed)``.  Optima there mix devices, where the
+    drawn memberships make almost every optimum a one-device plan.
+    """
+    if memberships == "zero":
+        drawn = [0.0] * num_devices
+    else:
+        drawn = [round(u, 3) for u in np.random.default_rng(30_000 + seed).uniform(0.001, 0.01, num_devices).tolist()]
+    return hard_instance(seed, num_devices, num_scenarios, drawn)
+
+
+# (seed, devices, scenarios, memberships): the low-membership wall at sizes tier 1 completes
+LOW_MEMBERSHIP_CASES = [(seed, 9, 3, "zero") for seed in range(10)] + [(seed, 20, 4, "low") for seed in range(10)]
+
+
+def _assert_beats_neighbours_and_baselines(inst: sm.ProblemInstance, solution: sm.Solution) -> None:
+    """No +-1 neighbour is cheaper beyond ``TIE_REL`` (one ``evaluate_many`` call), RP <= EEV and RP <= random-min."""
+    total, bundles = solution.cost.total, solution.plan.bundles
+    neighbours = []
+    for e in range(inst.num_devices):
+        for delta in (-1, 1):
+            if bundles[0, e] + delta >= 0:
+                neighbours.append(bundles.copy())
+                neighbours[-1][0, e] += delta
+    assert (sm.evaluate_many(np.stack(neighbours), inst).total >= total * (1 - TIE_REL)).all()
+    assert total <= sm.solve_evf(inst).cost.total * (1 + TIE_REL)
+    assert total <= sm.solve_random(inst, sm.RandomSchemeConfig(seed=0, samples=100)).min_total * (1 + TIE_REL)
 
 
 class TestScalingWall:
@@ -1041,6 +1193,23 @@ class TestScalingWall:
         for seed in range(40):
             solve_sip(hard_instance(seed), SolverConfig(node_limit=1_000))
 
+    @pytest.mark.parametrize("num_devices, node_limit", [(40, 2_000), (80, 20_000)])
+    def test_wide_hard_instances_solve_within_the_budget_the_one_device_incumbent_leaves(self, num_devices, node_limit):
+        # without the one-device pass and its caps these took up to 28,788 (40, 8) and 60,328 (80, 8) nodes
+        for seed in range(10):
+            solve_sip(hard_instance(seed, num_devices, 8), SolverConfig(node_limit=node_limit))
+
+    @pytest.mark.parametrize("seed, op", [(1408, "search-205"), (52, "search-039"), (52, "search-214")])
+    def test_formerly_cut_benchmark_searches_finish_and_match_highs(self, monkeypatch, tmp_path, seed, op):
+        pytest.importorskip("scipy")
+        monkeypatch.syspath_prepend(str(BENCH))
+        oracle = importlib.import_module("oracle")
+        workloads = importlib.import_module("workloads")
+        problem = next(each.problem for each in workloads.build("search", seed, tmp_path).ops if each.id == op)
+        inst = sm.load_problem(problem)
+        total = solve_sip(inst, SolverConfig(node_limit=workloads.SEARCH_NODE_LIMIT)).cost.total
+        assert total == pytest.approx(oracle.highs_total(inst), rel=TIE_REL)
+
     @pytest.mark.parametrize(
         "seed, num_devices, num_scenarios",
         [(0, 40, 8), (2, 34, 8), (3, 28, 6), (4, 20, 4), (1, 80, 8), (1, 40, 16), (0, 80, 16), (3, 80, 16)],
@@ -1061,17 +1230,22 @@ class TestScalingWall:
     def test_wide_hard_optima_beat_their_neighbours_and_both_baselines(self, seed, num_devices, num_scenarios):
         # the HiGHS cases' scale without scipy: no +-1 neighbour is cheaper, RP <= EEV and RP <= random-min
         inst = hard_instance(seed, num_devices, num_scenarios)
-        solution = solve_sip(inst)
-        total, bundles = solution.cost.total, solution.plan.bundles
-        neighbours = []
-        for e in range(num_devices):
-            for delta in (-1, 1):
-                if bundles[0, e] + delta >= 0:
-                    neighbours.append(bundles.copy())
-                    neighbours[-1][0, e] += delta
-        assert (sm.evaluate_many(np.stack(neighbours), inst).total >= total * (1 - TIE_REL)).all()
-        assert total <= sm.solve_evf(inst).cost.total * (1 + TIE_REL)
-        assert total <= sm.solve_random(inst, sm.RandomSchemeConfig(seed=0, samples=100)).min_total * (1 + TIE_REL)
+        _assert_beats_neighbours_and_baselines(inst, solve_sip(inst))
+
+    @pytest.mark.parametrize("seed, num_devices, num_scenarios, memberships", LOW_MEMBERSHIP_CASES)
+    def test_low_membership_optima_beat_their_neighbours_and_both_baselines(
+        self, seed, num_devices, num_scenarios, memberships
+    ):
+        inst = low_membership_instance(seed, num_devices, num_scenarios, memberships)
+        _assert_beats_neighbours_and_baselines(inst, solve_sip(inst))
+
+    @pytest.mark.parametrize("seed, num_devices, num_scenarios, memberships", LOW_MEMBERSHIP_CASES)
+    def test_low_membership_optima_match_highs(self, monkeypatch, seed, num_devices, num_scenarios, memberships):
+        pytest.importorskip("scipy")
+        monkeypatch.syspath_prepend(str(BENCH))
+        oracle = importlib.import_module("oracle")
+        inst = low_membership_instance(seed, num_devices, num_scenarios, memberships)
+        assert solve_sip(inst).cost.total == pytest.approx(oracle.highs_total(inst), rel=TIE_REL)
 
     def test_a_cut_search_at_the_wall_never_bounds_above_the_optimum(self):
         inst = hard_instance(1, 80, 8)
@@ -1105,8 +1279,36 @@ def _assert_admissible(err: NodeLimitError, optimum: float) -> None:
     assert err.gap == ((total - err.lower_bound) / total if total > 0 else 0.0)
 
 
+def _best_one_device_total(inst: sm.ProblemInstance) -> float:
+    """Least ``evaluate_total`` of the zero plan and the one-device plans the search prices at node ``E*N + 1``."""
+    pricing, upper = inst.pricing, inst.bundle_upper_bounds
+    plans = [np.zeros((1, inst.num_devices), dtype=np.int64)]
+    for e in range(inst.num_devices):
+        for need, a in zip(pricing.snapped[0].tolist(), pricing.coverage[0, e].tolist()):
+            if upper[0, e] and need > 0.0 and a > 0.0:
+                plans.append(np.zeros((1, inst.num_devices), dtype=np.int64))
+                plans[-1][0, e] = min(int(upper[0, e]), max(1, math.ceil(need / a)))
+    return float(sm.evaluate_many(np.stack(plans), inst).total.min())
+
+
 class TestFrontierBound:
     """A search cut at any node budget reports a lower bound under the optimum."""
+
+    @pytest.mark.parametrize(
+        "seed, memberships", [(4, None), (5, None), (6, None), (8, None), (1, "zero"), (2, "zero")]
+    )
+    def test_sip_cuts_past_the_one_device_pass_stay_admissible(self, seed, memberships):
+        # (9, 3) searches of 31-149 nodes: every budget from 1 up crosses node E*N + 1 = 28
+        inst = hard_instance(seed) if memberships is None else low_membership_instance(seed, 9, 3, memberships)
+        optimum = solve_sip(inst).cost.total
+        solution, cuts = _every_cut(lambda config: solve_sip(inst, config))
+        assert solution.cost.total == optimum
+        assert len(cuts) > 9 * 3  # some cut budget is at least E*N + 1
+        one_device = _best_one_device_total(inst)
+        for err in cuts:
+            _assert_admissible(err, optimum)
+            if err.node_limit > 9 * 3:  # the pass ran: the partial plan is no worse than its best plan
+                assert err.partial.cost.total <= one_device * (1 + TIE_REL)
 
     @pytest.mark.parametrize("decimal", [False, True], ids=["dyadic", "decimal"])
     def test_sip_bound_is_admissible_at_every_cut(self, decimal):
