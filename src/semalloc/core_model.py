@@ -126,8 +126,9 @@ class ProblemInstance:
     """Immutable bundle of devices, VSPs, the scenario set, and the similarity tensor.
 
     ``similarity`` is indexed ``(vsp, device, scenario)``.  Construction does
-    not validate cross-field consistency; run :func:`validate_instance` (the
-    loader does) so every violation is reported at once.
+    not validate cross-field consistency; :attr:`validation` runs
+    :func:`validate_instance` (the loader and the SIP solvers read it) so
+    every violation is reported at once.
     """
 
     devices: tuple[EdgeDevice, ...]
@@ -185,6 +186,16 @@ class ProblemInstance:
         :func:`with_probabilities` or :func:`scale_on_demand_cost` builds its own.
         """
         return pricing_table(self.devices, self.similarity, self.requirements)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """:func:`validate_instance` of this instance, run on first use.
+
+        The loader and every SIP solve read this one report.  An instance
+        derived by :func:`with_probabilities` or :func:`scale_on_demand_cost`
+        is a new object, validated afresh.
+        """
+        return validate_instance(self)
 
     @cached_property
     def bundle_upper_bounds(self) -> np.ndarray:

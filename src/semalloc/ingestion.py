@@ -35,6 +35,7 @@ Paths inside a document resolve relative to the document itself.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import sys
@@ -52,7 +53,6 @@ from .core_model import (
     Vsp,
     VspDemand,
     demand_count_violations,
-    validate_instance,
 )
 from .errors import ConfigurationError, SchemaError, ValidationFailure
 from .recourse import RecourseDecision, ReservationPlan, Solution
@@ -400,7 +400,7 @@ def load_problem(path: str | Path) -> ProblemInstance:
         tensor = build_similarity_tensor(scenarios, corpora, provider)
 
     instance = ProblemInstance(devices, vsps, scenarios, tensor)
-    report = validate_instance(instance)
+    report = instance.validation
     if not report.ok:
         raise ValidationFailure(report.violations)
     return instance
@@ -409,37 +409,77 @@ def load_problem(path: str | Path) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 # solution serialization
 #
-# Floats are emitted through Python's shortest round-trip repr, so reading the
-# file back reproduces every value bit-exactly.
+# A solution file is canonical JSON (sorted keys, two-space indent, trailing
+# newline), the bytes ``json.dumps(..., sort_keys=True, indent=2) + "\n"``
+# gives its document.  The layout depends only on the array shapes, so it is
+# built once per shape, by json itself, as a ``%``-format template with one
+# slot per value; filling it skips json's pure-Python indent encoder.  Costs
+# are written as json writes them (the shortest round-trip repr, ``NaN`` and
+# ``Infinity``), so reading the file back reproduces every value bit-exactly.
+
+_COST_FIELDS = ("expected_on_demand", "membership_total", "reservation_total", "total")  # sorted
+_SLOT = "\x00"  # a leaf that json writes as "\u0000", and no key contains
 
 
-def solution_to_dict(solution: Solution) -> dict:
-    return {
-        "plan": {
-            "membership": solution.plan.membership.tolist(),
-            "bundles": solution.plan.bundles.tolist(),
-        },
-        "on_demand": solution.recourse.on_demand.tolist(),
-        "cost": {
-            "membership_total": solution.cost.membership_total,
-            "reservation_total": solution.cost.reservation_total,
-            "expected_on_demand": solution.cost.expected_on_demand,
-            "total": solution.cost.total,
-        },
+@functools.lru_cache(maxsize=64)
+def _solution_template(on_demand_shape: tuple[int, ...], plan_shape: tuple[int, ...]) -> str:
+    """The solution file of these shapes, with a ``%s`` slot per cost and count.
+
+    The slots run through the four costs in :data:`_COST_FIELDS` order, then
+    ``on_demand``, ``plan.bundles`` and ``plan.membership``, each in
+    row-major order.
+    """
+
+    def slots(shape):
+        return [slots(shape[1:]) for _ in range(shape[0])] if shape else _SLOT
+
+    layout = {
+        "cost": dict.fromkeys(_COST_FIELDS, _SLOT),
+        "on_demand": slots(on_demand_shape),
+        "plan": {"bundles": slots(plan_shape), "membership": slots(plan_shape)},
     }
+    return json.dumps(layout, sort_keys=True, indent=2).replace(json.dumps(_SLOT), "%s") + "\n"
+
+
+def _field(data, name: str):
+    """The value at dotted ``name`` of a decoded document; ``ValueError`` if it is missing."""
+    for key in name.split("."):
+        if type(data) is not dict or key not in data:
+            raise ValueError(f"missing field {name!r}")
+        data = data[key]
+    return data
+
+
+def _count_array(data, name: str) -> np.ndarray:
+    counts = np.asarray(_field(data, name))
+    if counts.dtype.kind != "i" and counts.size:
+        raise ValueError(f"field {name!r} must hold integers")
+    return counts.astype(np.int64)
+
+
+def _cost_value(data, name: str) -> float:
+    value = _field(data, name)
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError(f"field {name!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def solution_from_dict(data: dict) -> Solution:
+    """The :class:`Solution` of a decoded solution file.
+
+    A missing field, a mistyped one or a plan the entities reject is a
+    ``ValueError`` (an ``OverflowError`` for a cost beyond float range).
+    """
     plan = ReservationPlan(
-        membership=np.array(data["plan"]["membership"], dtype=np.int64),
-        bundles=np.array(data["plan"]["bundles"], dtype=np.int64),
+        membership=_count_array(data, "plan.membership"),
+        bundles=_count_array(data, "plan.bundles"),
     )
-    recourse = RecourseDecision(np.array(data["on_demand"], dtype=np.int64))
+    recourse = RecourseDecision(_count_array(data, "on_demand"))
     cost = CostBreakdown(
-        membership_total=float(data["cost"]["membership_total"]),
-        reservation_total=float(data["cost"]["reservation_total"]),
-        expected_on_demand=float(data["cost"]["expected_on_demand"]),
-        total=float(data["cost"]["total"]),
+        membership_total=_cost_value(data, "cost.membership_total"),
+        reservation_total=_cost_value(data, "cost.reservation_total"),
+        expected_on_demand=_cost_value(data, "cost.expected_on_demand"),
+        total=_cost_value(data, "cost.total"),
     )
     return Solution(plan, recourse, cost)
 
@@ -463,14 +503,24 @@ def dump_json(data: dict, path: str | Path) -> None:
 
 
 def write_solution(solution: Solution, path: str | Path) -> None:
-    """Serialize a solution; ``read_solution`` round-trips it losslessly."""
-    dump_json(solution_to_dict(solution), path)
+    """Serialize a solution as canonical JSON; ``read_solution`` round-trips it losslessly."""
+    plan, cost, on_demand = solution.plan, solution.cost, solution.recourse.on_demand
+    values = [json.dumps(getattr(cost, name)) for name in _COST_FIELDS]
+    for counts in (on_demand, plan.bundles, plan.membership):
+        values += counts.ravel().tolist()
+    write_text(_solution_template(on_demand.shape, plan.bundles.shape) % tuple(values), path)
 
 
 def read_solution(path: str | Path) -> Solution:
+    """Read a solution file; a file that is no solution is a :class:`SchemaError` naming ``path``."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read solution file {path}: {exc}") from exc
-    return solution_from_dict(data)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return solution_from_dict(data)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

@@ -134,9 +134,14 @@ def shortfalls(bundles, instance: ProblemInstance) -> np.ndarray:
 
 
 def _shortfalls(counts: np.ndarray, pricing: Pricing) -> np.ndarray:
-    """:func:`shortfalls` of checked counts."""
+    """:func:`shortfalls` of checked counts.
+
+    A device with no bundle in any plan of the stack would add ``+0.0``
+    everywhere, which leaves every sum as it is, so it is skipped.
+    """
     coverage = np.zeros(counts.shape[:-1] + (pricing.snapped.shape[1],))
-    for e in range(counts.shape[-1]):
+    bought = counts.reshape(-1, counts.shape[-1]).any(axis=0)
+    for e in np.flatnonzero(bought).tolist():
         coverage += counts[..., e, None] * pricing.coverage[:, e, :]
     gap = np.maximum(0.0, pricing.snapped - coverage)
     return np.ceil(gap).astype(np.int64)
@@ -244,11 +249,14 @@ def evaluate_total(plan: ReservationPlan, instance: ProblemInstance) -> Solution
     """Full objective value of one plan, with the bits :func:`evaluate_many` gives it in any stack.
 
     Membership is normalized to exactly the devices with bundles; paying a
-    membership without bundles buys nothing.  The plan's shortfalls are
-    computed once, from the instance's pricing table, and give both the cost
-    breakdown and the optimal recourse tensor of the returned solution.
+    membership without bundles buys nothing.  A plan that is normalized
+    already is returned as it is.  The plan's shortfalls are computed once,
+    from the instance's pricing table, and give both the cost breakdown and
+    the optimal recourse tensor of the returned solution.
     """
-    normalized = ReservationPlan.from_bundles(plan.bundles)
+    normalized = plan
+    if not (plan.membership == (plan.bundles >= 1)).all():
+        normalized = ReservationPlan.from_bundles(plan.bundles)
     counts = normalized.bundles[None]
     _check_counts(counts, instance, (3,))
     short = _shortfalls(counts, instance.pricing)

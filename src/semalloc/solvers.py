@@ -54,7 +54,6 @@ from .core_model import (
     ProblemInstance,
     bundle_caps,
     pricing_table,
-    validate_instance,
 )
 from .errors import InfeasibleError, NodeLimitError, SemallocError, ValidationFailure
 from .recourse import (
@@ -585,13 +584,13 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
 
 
 def _sip_searches(instance: ProblemInstance, node_limit: int, vsps: Iterable[int]) -> list[_SearchOutcome]:
-    """Validate ``instance``, then search each VSP of ``vsps``, in that order, on its pricing table.
+    """Check ``instance``'s validation report, then search each VSP of ``vsps``, in that order, on its pricing table.
 
     The one per-point path of :func:`solve_sip` and :func:`solve_sip_grid`.
     A VSP with no gap to close in any scenario buys nothing and is not
     searched.
     """
-    report = validate_instance(instance)
+    report = instance.validation
     if not report.ok:
         raise ValidationFailure(report.violations)
 

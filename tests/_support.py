@@ -18,6 +18,7 @@ from semalloc import (
     EdgeDevice,
     ProblemInstance,
     ReservationPlan,
+    Solution,
     Vsp,
     VspDemand,
     on_demand_unit_cost,
@@ -174,3 +175,20 @@ def enumerate_sip_minimum(instance: ProblemInstance, margin: int = 1) -> float:
     short = np.ceil(np.clip(requirement[None, :, :] - coverage, 0.0, None))
     stage2 = (short.sum(axis=1) * probs[None, :]).sum(axis=1) * cheapest
     return float((stage1 + stage2).min())
+
+
+def solution_to_dict(solution: Solution) -> dict:
+    """The document of a solution file: ``json.dumps(d, sort_keys=True, indent=2) + "\\n"`` is its bytes."""
+    return {
+        "plan": {
+            "membership": solution.plan.membership.tolist(),
+            "bundles": solution.plan.bundles.tolist(),
+        },
+        "on_demand": solution.recourse.on_demand.tolist(),
+        "cost": {
+            "membership_total": solution.cost.membership_total,
+            "reservation_total": solution.cost.reservation_total,
+            "expected_on_demand": solution.cost.expected_on_demand,
+            "total": solution.cost.total,
+        },
+    }

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import semalloc as sm
+import semalloc.core_model as core_model
+from semalloc.solvers import solve_sip_grid
 from semalloc import (
     CostBreakdown,
     DemandScenario,
@@ -199,6 +202,51 @@ class TestValidation:
             VspDemand("k", -1, 1.0)
         with pytest.raises(ValueError):
             VspDemand("k", 1, 1.5)
+
+
+class TestValidateOnce:
+    """Each instance is validated once, by its cached :attr:`ProblemInstance.validation`."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        seen = []
+        original = core_model.validate_instance
+
+        def counted(instance):
+            seen.append(instance)
+            return original(instance)
+
+        monkeypatch.setattr(core_model, "validate_instance", counted)
+        return seen
+
+    def test_load_and_solve_validate_once(self, validations):
+        instance = sm.load_problem(sm.data_file("singapore_demo.json"))
+        sm.solve_sip(instance)
+        sm.solve_sip(instance)
+        assert validations == [instance]
+
+    @pytest.mark.parametrize("solve", [sm.solve_sip, lambda inst: solve_sip_grid([inst])], ids=["sip", "grid"])
+    def test_a_built_instance_with_a_violation_still_fails(self, solve):
+        inst = tiny_instance()
+        bad = ProblemInstance(inst.devices, inst.vsps, inst.scenarios, [[[1.2]]])
+        expected = str(sm.ValidationFailure(validate_instance(bad).violations))
+        for _ in range(2):
+            with pytest.raises(sm.ValidationFailure) as caught:
+                solve(bad)
+            assert str(caught.value) == expected
+
+    def test_a_derived_instance_is_validated_afresh(self, validations):
+        inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10,), (5,)))
+        assert inst.validation.ok
+        derived = with_probabilities(inst, [0.7, 0.7])
+        with pytest.raises(sm.ValidationFailure, match="probabilities sum to 1.4"):
+            sm.solve_sip(derived)
+        assert validations == [inst, derived]
+
+    def test_the_cached_report_is_validate_instance(self):
+        inst = tiny_instance(probabilities=(0.7, 0.7), quantities=((10,), (5,)))
+        assert inst.validation == validate_instance(inst)
+        assert inst.validation is inst.validation
 
 
 class TestRequirementMatrix:

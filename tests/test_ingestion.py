@@ -1,10 +1,15 @@
 import json
+import math
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import semalloc as sm
 from semalloc import (
@@ -15,7 +20,10 @@ from semalloc import (
     read_solution,
     write_solution,
 )
-from semalloc.ingestion import dump_json, solution_from_dict, solution_to_dict
+from semalloc.core_model import CostBreakdown
+from semalloc.ingestion import dump_json, solution_from_dict
+from semalloc.recourse import RecourseDecision, ReservationPlan, Solution
+from _support import solution_to_dict
 
 
 def write_doc(tmp_path, doc, name="problem.json"):
@@ -228,6 +236,110 @@ class TestSolutionRoundTrip:
         write_solution(solution, path)
         golden = Path(__file__).parent / "data" / "golden_solution.json"
         assert path.read_bytes() == golden.read_bytes()
+
+
+def canonical_bytes(solution) -> bytes:
+    return (json.dumps(solution_to_dict(solution), sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+_FINITE = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300), st.floats(min_value=-1e300, max_value=-1e-300)
+)
+_FLOATS = st.one_of(_FINITE, st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+COSTS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-(2**70), 2**70))
+COUNTS = st.integers(0, 2**63 - 1)
+DEMO_PROBLEMS = sorted(path.name for path in sm.data_file("").glob("*.json") if path.name != "embeddings_demo.json")
+
+
+@st.composite
+def solutions(draw) -> Solution:
+    num_vsps, num_devices, num_scenarios = draw(st.tuples(*[st.integers(0, 3)] * 3))
+    plan_shape = (num_vsps, num_devices)
+    bundles = draw(arrays(np.int64, plan_shape, elements=COUNTS))
+    unused = draw(arrays(np.int64, plan_shape, elements=st.integers(0, 1)))
+    plan = ReservationPlan(np.maximum(bundles >= 1, unused), bundles)
+    recourse = RecourseDecision(draw(arrays(np.int64, (*plan_shape, num_scenarios), elements=COUNTS)))
+    return Solution(plan, recourse, CostBreakdown(*(draw(COSTS) for _ in range(4))))
+
+
+class TestSolutionWriter:
+    """``write_solution`` writes the canonical JSON of the solution's document, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(solution=solutions())
+    def test_bytes_equal_canonical_json(self, solution):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "solution.json"
+            write_solution(solution, path)
+            assert path.read_bytes() == canonical_bytes(solution)
+
+    @pytest.mark.parametrize("name", DEMO_PROBLEMS)
+    def test_bundled_demo_solutions_equal_canonical_json(self, name, tmp_path):
+        solution = sm.solve_sip(load_problem(sm.data_file(name)))
+        path = tmp_path / "solution.json"
+        write_solution(solution, path)
+        assert path.read_bytes() == canonical_bytes(solution)
+
+    def test_one_template_per_shape(self, tmp_path, singapore, single_device):
+        from semalloc.ingestion import _solution_template
+
+        _solution_template.cache_clear()
+        for instance in (singapore, single_device, singapore):
+            write_solution(sm.solve_sip(instance), tmp_path / "solution.json")
+        assert _solution_template.cache_info().misses == 2
+
+
+class TestReadSolution:
+    """A file that is no solution is a :class:`SchemaError` naming the file."""
+
+    def solution_file(self, tmp_path, cost_structure) -> Path:
+        path = tmp_path / "solution.json"
+        write_solution(sm.solve_sip(cost_structure), path)
+        return path
+
+    def test_truncated_file(self, tmp_path, cost_structure):
+        path = self.solution_file(tmp_path, cost_structure)
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(SchemaError, match=r"^" + re.escape(f"{path}: not valid JSON: ")):
+            read_solution(path)
+
+    def test_empty_object(self, tmp_path):
+        path = write_doc(tmp_path, {}, "solution.json")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: missing field 'plan.membership'")):
+            read_solution(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("plan", None, "missing field 'plan.membership'"),
+            ("on_demand", "many", "field 'on_demand' must hold integers"),
+            ("on_demand", [[[1.5]]], "field 'on_demand' must hold integers"),
+            ("on_demand", [[1]], "on_demand must be 3-dimensional"),
+            ("cost", {"total": 1.0}, "missing field 'cost.membership_total'"),
+        ],
+    )
+    def test_missing_or_mistyped_field(self, tmp_path, cost_structure, field, value, message):
+        data = json.loads(self.solution_file(tmp_path, cost_structure).read_text())
+        data[field] = value
+        path = write_doc(tmp_path, data, "broken.json")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            read_solution(path)
+
+    @pytest.mark.parametrize("value", ["1.5", True, None, 10**400], ids=["string", "bool", "null", "beyond-float"])
+    def test_a_cost_that_is_no_float(self, tmp_path, cost_structure, value):
+        data = json.loads(self.solution_file(tmp_path, cost_structure).read_text())
+        data["cost"]["total"] = value
+        path = write_doc(tmp_path, data, "broken.json")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: ")):
+            read_solution(path)
+
+    def test_a_plan_the_entities_reject(self, tmp_path, cost_structure):
+        data = json.loads(self.solution_file(tmp_path, cost_structure).read_text())
+        data["plan"]["membership"] = [[0]]
+        data["plan"]["bundles"] = [[2]]
+        path = write_doc(tmp_path, data, "broken.json")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: bundles require membership")):
+            read_solution(path)
 
 
 class TestDumpJson:

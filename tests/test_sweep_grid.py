@@ -20,8 +20,7 @@ import semalloc as sm
 import semalloc.solvers as solvers
 from semalloc import NodeLimitError, RandomSchemeConfig, SolverConfig
 from semalloc.cli import compare_rows, parse_grid, plan_type, sweep_probability_rows
-from semalloc.ingestion import solution_to_dict
-from _support import make_random_instance
+from _support import make_random_instance, solution_to_dict
 from test_recourse import build_instance
 from test_solvers import make_decimal_instance
 
