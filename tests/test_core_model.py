@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 import semalloc as sm
 import semalloc.core_model as core_model
-from semalloc.solvers import solve_sip_grid
 from semalloc import (
     CostBreakdown,
     DemandScenario,
@@ -21,6 +20,7 @@ from semalloc import (
     validate_instance,
     with_probabilities,
 )
+from semalloc.solvers import solve_sip_grid
 
 
 def make_device(**overrides) -> EdgeDevice:
@@ -242,11 +242,6 @@ class TestValidateOnce:
         with pytest.raises(sm.ValidationFailure, match="probabilities sum to 1.4"):
             sm.solve_sip(derived)
         assert validations == [inst, derived]
-
-    def test_the_cached_report_is_validate_instance(self):
-        inst = tiny_instance(probabilities=(0.7, 0.7), quantities=((10,), (5,)))
-        assert inst.validation == validate_instance(inst)
-        assert inst.validation is inst.validation
 
 
 class TestRequirementMatrix:

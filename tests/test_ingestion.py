@@ -21,7 +21,7 @@ from semalloc import (
     write_solution,
 )
 from semalloc.core_model import CostBreakdown
-from semalloc.ingestion import dump_json, solution_from_dict
+from semalloc.ingestion import _solution_template, dump_json, solution_from_dict
 from semalloc.recourse import RecourseDecision, ReservationPlan, Solution
 from _support import solution_to_dict
 
@@ -281,8 +281,6 @@ class TestSolutionWriter:
         assert path.read_bytes() == canonical_bytes(solution)
 
     def test_one_template_per_shape(self, tmp_path, singapore, single_device):
-        from semalloc.ingestion import _solution_template
-
         _solution_template.cache_clear()
         for instance in (singapore, single_device, singapore):
             write_solution(sm.solve_sip(instance), tmp_path / "solution.json")
