@@ -42,7 +42,7 @@ from .core_model import (
 )
 from .errors import ConfigurationError, SemallocError
 from .ingestion import dump_json, load_problem, write_solution, write_text
-from .recourse import Solution, _plan_costs, _shortfalls, evaluate_total
+from .recourse import Solution, _plan_costs, _shortfalls
 from .solvers import SolverConfig, dip_from_instance, solve_dip, solve_sip, solve_sip_grid, sweep_first_stage
 
 
@@ -168,8 +168,10 @@ def compare_rows(
 ) -> list[list]:
     """Totals for SIP, EVF, and the random scheme at each on-demand cost factor.
 
-    No price factor changes the EVF plan or the random draw, nor the draw's
-    shortfalls, so each is computed once and priced at every factor; SIP is
+    No price factor changes the EVF plan or the random draw, nor their
+    shortfalls, so the EVF plan is stacked before the draw, the stack's
+    shortfalls are computed once, and one call prices the stack at each
+    factor; a plan's costs in a stack are the bits it has alone.  SIP is
     solved over the grid by :func:`solve_sip_grid`.
     """
     if not all(math.isfinite(f) and f > 0 for f in factors):
@@ -198,11 +200,11 @@ def compare_rows(
         # SIP at the first factor comes before EVF and the random scheme: its error, if any, is the one raised
         solve_sip(first, config)
         raise
-    short = _shortfalls(plans, first.pricing)
+    stack = np.concatenate([evf.bundles[None], plans])
+    short = _shortfalls(stack, first.pricing)
     rows = []
     for (factor, scaled), sip in zip(points, solve_sip_grid([scaled for _, scaled in points], config)):
-        totals = _plan_costs(plans, short, scaled).total.tolist()
-        evf_total = evaluate_total(evf, scaled).cost.total
+        evf_total, *totals = _plan_costs(stack, short, scaled).total.tolist()
         rows.append([factor, sip.cost.total, evf_total, sum(totals) / len(totals), min(totals)])
     return rows
 

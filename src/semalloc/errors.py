@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON file reader that raises them."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class SemallocError(Exception):
@@ -13,6 +16,21 @@ class ConfigurationError(SemallocError):
 
 class SchemaError(ConfigurationError):
     """A problem document violates the JSON schema; message carries a JSON pointer."""
+
+
+def read_json(path: str | Path, kind: str):
+    """The decoded JSON document of the ``kind`` file at ``path``.
+
+    A file that cannot be read is a :class:`ConfigurationError` and one that
+    is not JSON a :class:`SchemaError`; both name ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {kind} file {path}: {exc}") from exc
+    except ValueError as exc:  # also bad UTF-8, and an integer literal past Python's digit limit
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 class ValidationFailure(SemallocError):

@@ -54,7 +54,7 @@ from .core_model import (
     VspDemand,
     demand_count_violations,
 )
-from .errors import ConfigurationError, SchemaError, ValidationFailure
+from .errors import ConfigurationError, SchemaError, ValidationFailure, read_json
 from .recourse import RecourseDecision, ReservationPlan, Solution
 from .similarity import FileEmbeddings, _read_corpus_columns, build_similarity_tensor
 
@@ -66,6 +66,7 @@ from .similarity import FileEmbeddings, _read_corpus_columns, build_similarity_t
 # takes exactly the listed keys, and all but the optional ones are required.
 
 _NUMBER_TYPES = frozenset({int, float})  # exactly; bool is no number
+_FLOATS = frozenset({float})
 _FLOAT_MAX = sys.float_info.max  # a JSON integer beyond it has no float value
 
 
@@ -86,6 +87,7 @@ def _kind(fields: dict, optional: tuple[str, ...] = ()) -> _Kind:
 
 
 _STRING = _Rule("string")
+_NUMBER = _Rule("number")
 _COUNT = _Rule("integer", minimum=0)
 _NONNEGATIVE = _Rule("number", minimum=0)
 _POSITIVE = _Rule("number", exclusive_minimum=0)
@@ -123,7 +125,7 @@ def _scalar_error(value, rule: _Rule) -> str | None:
     ):
         return f"{value!r} is not of type {kind!r}"
     if type(value) is int and abs(value) > _FLOAT_MAX:
-        return _too_large(value)
+        return f"{value!r} is beyond the range of a float"
     # NaN fails none of these comparisons, as in the schema; the entities reject it
     if minimum is not None and value < minimum:
         return f"{value!r} is less than the minimum of {minimum!r}"
@@ -132,10 +134,6 @@ def _scalar_error(value, rule: _Rule) -> str | None:
     if maximum is not None and value > maximum:
         return f"{value!r} is greater than the maximum of {maximum!r}"
     return None
-
-
-def _too_large(value: int) -> str:
-    return f"{value!r} is beyond the range of a float"
 
 
 def _check_array(items, kind: _Kind, path: tuple, errors: list) -> None:
@@ -186,18 +184,11 @@ def _check_tensor(tensor, path: tuple, errors: list) -> None:
         for e, row in enumerate(rows):
             if not isinstance(row, list):
                 errors.append(((*path, w, e), f"{row!r} is not of type 'array'"))
-            elif not _NUMBER_TYPES.issuperset(map(type, row)):
-                errors.extend(
-                    ((*path, w, e, s), f"{value!r} is not of type 'number'")
-                    for s, value in enumerate(row)
-                    if type(value) not in _NUMBER_TYPES
-                )
-            elif int in map(type, row):
-                errors.extend(
-                    ((*path, w, e, s), _too_large(value))
-                    for s, value in enumerate(row)
-                    if type(value) is int and abs(value) > _FLOAT_MAX
-                )
+            elif not _FLOATS.issuperset(map(type, row)):
+                for s, value in enumerate(row):
+                    message = _scalar_error(value, _NUMBER)
+                    if message is not None:
+                        errors.append(((*path, w, e, s), message))
 
 
 def _check_similarity(source, errors: list) -> None:
@@ -331,46 +322,17 @@ def _tensor_array(tensor: list) -> np.ndarray:
 def load_problem(path: str | Path) -> ProblemInstance:
     """Read, schema-check, assemble, and validate a problem document."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read problem file {path}: {exc}") from exc
-    except ValueError as exc:  # also an integer literal past Python's digit limit
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-
+    document = read_json(path, "problem")
     error = _document_error(document)
     if error is not None:
         raise SchemaError(f"{path}: {error}")
 
+    # the check leaves each record exactly its entity's field names, optional ones defaulted
     try:
-        devices = tuple(
-            EdgeDevice(
-                id=rec["id"],
-                uplink_rate=rec["uplink_rate"],
-                transmit_power=rec["transmit_power"],
-                avg_payload_semantic=rec["avg_payload_semantic"],
-                avg_payload_raw=rec.get("avg_payload_raw"),
-                membership_cost=rec["membership_cost"],
-                bundle_size=rec["bundle_size"],
-                alpha_reservation=rec["alpha_reservation"],
-                alpha_on_demand=rec["alpha_on_demand"],
-            )
-            for rec in document["devices"]
-        )
-        vsps = tuple(Vsp(id=rec["id"], interest_label=rec.get("interest_label", "")) for rec in document["vsps"])
+        devices = tuple(EdgeDevice(**rec) for rec in document["devices"])
+        vsps = tuple(Vsp(**rec) for rec in document["vsps"])
         scenarios = tuple(
-            DemandScenario(
-                probability=rec["probability"],
-                per_vsp=tuple(
-                    VspDemand(
-                        interest_key=d["interest_key"],
-                        quantity=d["quantity"],
-                        threshold=d["threshold"],
-                    )
-                    for d in rec["per_vsp"]
-                ),
-            )
+            DemandScenario(rec["probability"], tuple(VspDemand(**d) for d in rec["per_vsp"]))
             for rec in document["scenarios"]
         )
     except ValueError as exc:
@@ -513,13 +475,7 @@ def write_solution(solution: Solution, path: str | Path) -> None:
 
 def read_solution(path: str | Path) -> Solution:
     """Read a solution file; a file that is no solution is a :class:`SchemaError` naming ``path``."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read solution file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    data = read_json(path, "solution")
     try:
         return solution_from_dict(data)
     except (ValueError, OverflowError) as exc:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core_model import DemandScenario
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_json
 
 # Embedding vectors are plain 1-D float arrays; providers guarantee a fixed
 # dimension and never produce the all-zero vector for non-empty text.
@@ -105,8 +104,7 @@ class FileEmbeddings(EmbeddingProvider):
 
     @classmethod
     def from_path(cls, path: str | Path) -> "FileEmbeddings":
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = read_json(path, "embeddings")
         if not isinstance(data, dict):
             raise ConfigurationError(f"{path}: embeddings file must hold a JSON object")
         return cls(data)
@@ -391,42 +389,51 @@ def _csv_record(header: list[str], row: list[str]) -> dict:
 
 
 def _read_corpus_columns(path: str | Path) -> _CorpusColumns:
-    """The corpus CSV's entries as columns; errors name the file line a record ends on."""
+    """The corpus CSV's entries as columns; errors name the file, and the line a record ends on.
+
+    A file that cannot be read or decoded as UTF-8, or that the csv module
+    rejects, is a :class:`ConfigurationError` too.
+    """
     device_ids: list[int] = []
     texts: list[str] = []
     counts: list[int] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or not {"device_id", "category", "count"}.issubset(header):
-            raise ConfigurationError(
-                f"{path}: corpus CSV must have header device_id,category,count"
-            )
-        # a repeated name reads its last column, as DictReader does
-        column = {name: j for j, name in enumerate(header)}
-        di, ti, ci = column["device_id"], column["category"], column["count"]
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            try:
-                device_id, text, count = int(row[di]), row[ti], int(row[ci])
-            except (IndexError, ValueError):
-                record = _csv_record(header, row)
-                try:
-                    device_id, count = int(record["device_id"]), int(record["count"])
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"{path}:{reader.line_num}: malformed corpus row {record}"
-                    ) from None
-                text = str(record["category"])  # a short row's missing category reads as None
-            if count < 1:
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or not {"device_id", "category", "count"}.issubset(header):
                 raise ConfigurationError(
-                    f"{path}:{reader.line_num}: corpus counts must be positive integers, got {count}"
-                    f" for {_csv_record(header, row)['category']!r}"
+                    f"{path}: corpus CSV must have header device_id,category,count"
                 )
-            device_ids.append(device_id)
-            texts.append(text)
-            counts.append(count)
+            # a repeated name reads its last column, as DictReader does
+            column = {name: j for j, name in enumerate(header)}
+            di, ti, ci = column["device_id"], column["category"], column["count"]
+            for row in reader:
+                if not row:  # a blank line
+                    continue
+                try:
+                    device_id, text, count = int(row[di]), row[ti], int(row[ci])
+                except (IndexError, ValueError):
+                    record = _csv_record(header, row)
+                    try:
+                        device_id, count = int(record["device_id"]), int(record["count"])
+                    except (TypeError, ValueError):
+                        raise ConfigurationError(
+                            f"{path}:{reader.line_num}: malformed corpus row {record}"
+                        ) from None
+                    text = str(record["category"])  # a short row's missing category reads as None
+                if count < 1:
+                    raise ConfigurationError(
+                        f"{path}:{reader.line_num}: corpus counts must be positive integers, got {count}"
+                        f" for {_csv_record(header, row)['category']!r}"
+                    )
+                device_ids.append(device_id)
+                texts.append(text)
+                counts.append(count)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read corpus file {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
     return _CorpusColumns(device_ids, texts, counts)
 
 

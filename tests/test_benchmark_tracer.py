@@ -4,12 +4,15 @@
 name, so renaming or deleting a module it lists in ``LAYERS`` breaks every
 ``bench/run.py --trace 1`` run.  This test catches that in the package's own
 suite, and short traced ``search``, ``sweep`` and ``corpus`` runs must exit
-cleanly with every check passed.
+cleanly with every check passed.  They run in a temporary copy of the
+benchmark, the package and ``BENCHMARK.json``, so the spans they write leave
+the checkout's ``.bench_out`` as it was.
 """
 
 import importlib
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +23,8 @@ import pytest
 import semalloc
 from semalloc.similarity import FileEmbeddings
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _bindings() -> dict:
@@ -58,11 +62,15 @@ def test_tracer_installs_on_every_layer_and_restores_every_binding(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["search", "sweep", "corpus"])
-def test_a_traced_run_passes_every_check(workload):
+def test_a_traced_run_passes_every_check(workload, tmp_path):
+    caches = shutil.ignore_patterns("__pycache__")
+    for tree in ("bench", "src"):
+        shutil.copytree(ROOT / tree, tmp_path / tree, ignore=caches)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     args = ["--workload", workload, "--seed", "1", "--seconds", "0.01", "--trace", "1"]
     run = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), *args],
-        cwd=BENCH.parent, capture_output=True, text=True, timeout=600,
+        [sys.executable, str(tmp_path / "bench" / "run.py"), *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])

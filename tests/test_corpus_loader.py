@@ -15,13 +15,14 @@ error.
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semalloc import CategoryCorpus, ConfigurationError, FileEmbeddings
+from semalloc import CategoryCorpus, ConfigurationError, FileEmbeddings, SchemaError
 from semalloc import similarity
 from semalloc.similarity import _read_corpus_columns, load_corpora_csv
 
@@ -136,6 +137,27 @@ def test_loader_matches_on_edge_files(tmp_path, text):
     path = tmp_path / "corpus.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert outcome(load_corpora_csv, path) == outcome(dictreader_load_corpora_csv, path)
+
+
+def test_a_corpus_that_is_not_utf8(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_bytes(b"device_id,category,count\n0,caf\xe9,1\n")
+    with pytest.raises(ConfigurationError, match=f"^cannot read corpus file {re.escape(str(path))}: 'utf-8' codec"):
+        load_corpora_csv(path)
+
+
+def test_a_corpus_field_beyond_the_csv_limit(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text("device_id,category,count\n0,a,1\n0," + "x" * (csv.field_size_limit() + 1) + ",2\n")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}:3: field larger than field limit"):
+        load_corpora_csv(path)
+
+
+def test_embeddings_that_are_not_json(tmp_path):
+    path = tmp_path / "embeddings.json"
+    path.write_text("{nope")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not valid JSON: "):
+        FileEmbeddings.from_path(path)
 
 
 NUMBERS = st.one_of(

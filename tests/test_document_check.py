@@ -358,6 +358,15 @@ def test_a_nan_first_in_a_column_hides_no_later_error(source):
             _agrees(_set(document, paths[-1], value))
 
 
+@pytest.mark.parametrize("row", [[10**400, True], [True, 10**400]], ids=["wide-first", "bool-first"])
+def test_a_tensor_row_reports_either_kind_of_error_in_index_order(row):
+    """A non-number and an integer beyond float range in one row: the first index is the error."""
+    document = json.loads(sm.data_file("single_device_demo.json").read_text())
+    document["similarity"]["tensor"] = [[row]]
+    _agrees(document)
+    assert _document_error(document).startswith("/similarity/tensor/0/0/0: ")
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 

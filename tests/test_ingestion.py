@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -21,7 +22,8 @@ from semalloc import (
     write_solution,
 )
 from semalloc.core_model import CostBreakdown
-from semalloc.ingestion import _solution_template, dump_json, solution_from_dict
+from semalloc.core_model import EdgeDevice, Vsp, VspDemand
+from semalloc.ingestion import _DEMAND, _DEVICE, _VSP, _solution_template, dump_json, solution_from_dict
 from semalloc.recourse import RecourseDecision, ReservationPlan, Solution
 from _support import solution_to_dict
 
@@ -163,6 +165,38 @@ class TestLoadProblem:
         path = write_doc(tmp_path, minimal_doc(similarity={"tensor": [[[0.5], [0.5]]]}))
         with pytest.raises(ValidationFailure, match="shape"):
             load_problem(path)
+
+
+class TestReferencedFiles:
+    """A referenced file that cannot be read fails as a package error naming the file."""
+
+    @staticmethod
+    def corpus_problem(tmp_path, **source):
+        doc = json.loads(sm.data_file("interest_switch_corpus.json").read_text())
+        files = doc["similarity"]
+        for key in files:
+            files[key] = str(sm.data_file(files[key]))
+        files.update(source)
+        return write_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("key, kind", [("corpus_file", "corpus"), ("embeddings_file", "embeddings")])
+    def test_a_directory(self, tmp_path, key, kind):
+        (tmp_path / "folder").mkdir()
+        path = self.corpus_problem(tmp_path, **{key: "folder"})
+        with pytest.raises(ConfigurationError, match=f"^cannot read {kind} file {re.escape(str(tmp_path))}/folder: "):
+            load_problem(path)
+
+
+@pytest.mark.parametrize("kind, entity", [(_DEVICE, EdgeDevice), (_VSP, Vsp), (_DEMAND, VspDemand)])
+def test_record_tables_match_the_entities(kind, entity):
+    """The loader builds each entity from its checked record, one keyword per key."""
+    fields = dataclasses.fields(entity)
+    assert kind.fields.keys() == {field.name for field in fields}
+    assert kind.required == {
+        field.name
+        for field in fields
+        if field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING
+    }
 
 
 class TestRaggedTensor:
