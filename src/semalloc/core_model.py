@@ -135,6 +135,7 @@ class ProblemInstance:
     vsps: tuple[Vsp, ...]
     scenarios: tuple[DemandScenario, ...]
     similarity: np.ndarray
+    _source: ProblemInstance | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "devices", tuple(self.devices))
@@ -168,8 +169,11 @@ class ProblemInstance:
         """Read-only requirement matrix, indexed ``(vsp, scenario)``.
 
         Built on first use, so an instance whose scenarios list the wrong
-        number of VSP demands still reaches :func:`validate_instance`.
+        number of VSP demands still reaches :func:`validate_instance`.  A
+        derived instance reads its base's matrix (:func:`_derived`).
         """
+        if self._source is not None:
+            return self._source.requirements
         matrix = np.array(
             [[scen.per_vsp[w].requirement for scen in self.scenarios] for w in range(self.num_vsps)],
             dtype=np.float64,
@@ -182,10 +186,17 @@ class ProblemInstance:
         """Read-only pricing table that every evaluation and search of this instance reads.
 
         :func:`pricing_table` of the devices, the similarity tensor and the
-        requirements, built on first use; an instance derived by
-        :func:`with_probabilities` or :func:`scale_on_demand_cost` builds its own.
+        requirements, built on first use.  A derived instance reads its base's
+        table, recomputing ``cheapest`` and ``unit_price`` if its devices
+        differ (:func:`_derived`).
         """
-        return pricing_table(self.devices, self.similarity, self.requirements)
+        source = self._source
+        if source is None:
+            return pricing_table(self.devices, self.similarity, self.requirements)
+        if source.devices is self.devices:
+            return source.pricing
+        unit_price, cheapest = _on_demand_price(self.devices)
+        return source.pricing._replace(cheapest=cheapest, unit_price=unit_price)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -205,8 +216,11 @@ class ProblemInstance:
         device alone at its least productive positive similarity
         (:func:`bundle_caps`); anything beyond that can be dropped without
         losing feasibility or raising cost.  Zero where the device never
-        matches the interest or demand is zero in every scenario.
+        matches the interest or demand is zero in every scenario.  A derived
+        instance reads its base's bounds (:func:`_derived`).
         """
+        if self._source is not None:
+            return self._source.bundle_upper_bounds
         matrix = bundle_caps(self.requirements, self.pricing.sizes, self.similarity)
         matrix.setflags(write=False)
         return matrix
@@ -305,12 +319,17 @@ def pricing_table(devices: Sequence[EdgeDevice], similarity: np.ndarray, require
     sizes = np.array([dev.bundle_size for dev in devices], dtype=np.float64)
     memberships = np.array([dev.membership_cost for dev in devices], dtype=np.float64)
     bundle_prices = np.array([reservation_bundle_cost(dev) for dev in devices], dtype=np.float64)
-    unit_price, cheapest = min(((on_demand_unit_cost(dev), e) for e, dev in enumerate(devices)), default=(math.inf, -1))
+    unit_price, cheapest = _on_demand_price(devices)
     coverage = sizes[:, None] * similarity
     snapped = snap(requirements)
     for array in (sizes, memberships, bundle_prices, coverage, snapped):
         array.setflags(write=False)
     return Pricing(sizes, memberships, bundle_prices, cheapest, unit_price, coverage, snapped)
+
+
+def _on_demand_price(devices: Sequence[EdgeDevice]) -> tuple[float, int]:
+    """The lowest on-demand unit price of ``devices`` and its device, ties to the lowest index; ``(inf, -1)`` if none."""
+    return min(((on_demand_unit_cost(dev), e) for e, dev in enumerate(devices)), default=(math.inf, -1))
 
 
 def bundle_caps(requirements: np.ndarray, bundle_sizes: np.ndarray, similarity: np.ndarray) -> np.ndarray:
@@ -406,8 +425,20 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _derived(instance: ProblemInstance, devices, scenarios) -> ProblemInstance:
+    """A new instance of ``devices`` and ``scenarios`` that reads ``instance``'s tables at its own first use.
+
+    No table reads a probability, and only the pricing table's ``cheapest``
+    and ``unit_price`` read ``alpha_on_demand``; those two are recomputed if
+    the devices differ.  Deriving builds no table; validation is per instance.
+    """
+    derived = ProblemInstance(devices, instance.vsps, scenarios, instance.similarity)
+    object.__setattr__(derived, "_source", instance)
+    return derived
+
+
 def with_probabilities(instance: ProblemInstance, probabilities) -> ProblemInstance:
-    """New instance with the scenario probabilities replaced."""
+    """New instance with the scenario probabilities replaced; it reads ``instance``'s tables (:func:`_derived`)."""
     probs = [float(p) for p in probabilities]
     if len(probs) != instance.num_scenarios:
         raise ValueError(
@@ -416,7 +447,7 @@ def with_probabilities(instance: ProblemInstance, probabilities) -> ProblemInsta
     scenarios = tuple(
         dataclasses.replace(scen, probability=p) for scen, p in zip(instance.scenarios, probs)
     )
-    return ProblemInstance(instance.devices, instance.vsps, scenarios, instance.similarity)
+    return _derived(instance, instance.devices, scenarios)
 
 
 def scale_on_demand_cost(instance: ProblemInstance, factor: float) -> ProblemInstance:
@@ -424,6 +455,7 @@ def scale_on_demand_cost(instance: ProblemInstance, factor: float) -> ProblemIns
 
     The scaled coefficient must stay above the reservation coefficient; the
     device constructor enforces that and rejects factors that invert pricing.
+    The new instance reads ``instance``'s tables (:func:`_derived`).
     """
     if not math.isfinite(factor) or factor <= 0:
         raise ValueError(f"factor must be positive and finite, got {factor}")
@@ -431,4 +463,4 @@ def scale_on_demand_cost(instance: ProblemInstance, factor: float) -> ProblemIns
         dataclasses.replace(dev, alpha_on_demand=dev.alpha_on_demand * factor)
         for dev in instance.devices
     )
-    return ProblemInstance(devices, instance.vsps, instance.scenarios, instance.similarity)
+    return _derived(instance, devices, instance.scenarios)

@@ -60,7 +60,10 @@ from .recourse import (
     RecourseDecision,
     ReservationPlan,
     Solution,
+    _on_demand,
     _ordered_sum,
+    _plan_costs,
+    _shortfalls,
     _stage1_costs,
     evaluate_many,
     evaluate_total,
@@ -580,7 +583,9 @@ def solve_sip(instance: ProblemInstance, config: SolverConfig | None = None) -> 
     """
     config = config or SolverConfig()
     outcomes = _sip_searches(instance, config.node_limit, range(instance.num_vsps))
-    return _sip_solution(instance, outcomes, config.node_limit)
+    solution = evaluate_total(ReservationPlan.from_bundles(_outcome_bundles(outcomes, instance.num_devices)), instance)
+    _raise_if_cut(solution, outcomes, config.node_limit, feasible=True)  # zero bundles buy on demand
+    return solution
 
 
 def _sip_searches(instance: ProblemInstance, node_limit: int, vsps: Iterable[int]) -> list[_SearchOutcome]:
@@ -618,13 +623,6 @@ def _sip_searches(instance: ProblemInstance, node_limit: int, vsps: Iterable[int
     return outcomes
 
 
-def _sip_solution(instance: ProblemInstance, outcomes: Sequence[_SearchOutcome], node_limit: int) -> Solution:
-    """:func:`evaluate_total` of the plan of every VSP's outcome; :class:`NodeLimitError` if one was cut."""
-    solution = evaluate_total(ReservationPlan.from_bundles(_outcome_bundles(outcomes, instance.num_devices)), instance)
-    _raise_if_cut(solution, outcomes, node_limit, feasible=True)  # zero bundles buy on demand
-    return solution
-
-
 def _outcome_bundles(outcomes: Sequence[_SearchOutcome], num_devices: int) -> np.ndarray:
     """The ``(vsp, device)`` bundle matrix of per-VSP outcomes: zero where a search found no plan."""
     bundles = np.zeros((len(outcomes), num_devices), dtype=np.int64)
@@ -648,10 +646,13 @@ def solve_sip_grid(instances: Sequence[ProblemInstance], config: SolverConfig | 
     that vector's own cost is the best leaf cost, the vector is the optimum
     and the lexicographic choice at every point between: a lexicographically
     smaller rival tied inside would be tied at an end too.  Those points are
-    not searched; otherwise the midpoint is.  Each solution is
-    :func:`evaluate_total` of its plan on its own instance, as in
-    :func:`solve_sip`, so the results are those of ``[solve_sip(instance,
-    config) for instance in instances]``.
+    not searched; otherwise the midpoint is.  Each distinct plan's
+    shortfalls and recourse tensor are computed once among the points whose
+    tables share ``coverage``, ``snapped`` and ``cheapest``, as instances
+    derived from one base do.  Priced on each point's table, a plan costs
+    what :func:`evaluate_total` gives it (a plan costs the same in any stack),
+    so the results are those of ``[solve_sip(instance, config) for instance
+    in instances]``.
 
     If a search is cut or a point fails, every point is solved by
     :func:`solve_sip` in grid order, so the error raised is that loop's.  A
@@ -665,7 +666,20 @@ def solve_sip_grid(instances: Sequence[ProblemInstance], config: SolverConfig | 
         outcomes = None
     if outcomes is None:
         return [solve_sip(instance, config) for instance in instances]
-    return [_sip_solution(instance, found, config.node_limit) for instance, found in zip(instances, outcomes)]
+    # no search was cut, so no point raises NodeLimitError
+    priced = {}
+    solutions = []
+    for instance, found in zip(instances, outcomes):
+        pricing = instance.pricing
+        bundles = _outcome_bundles(found, instance.num_devices)
+        key = (id(pricing.coverage), id(pricing.snapped), pricing.cheapest, bundles.tobytes())
+        if key not in priced:
+            short = _shortfalls(bundles[None], pricing)
+            priced[key] = ReservationPlan.from_bundles(bundles), short, _on_demand(short[0], instance)
+        plan, short, recourse = priced[key]
+        cost = CostBreakdown(*(float(column[0]) for column in _plan_costs(bundles[None], short, instance)))
+        solutions.append(Solution(plan, recourse, cost))
+    return solutions
 
 
 def _bisected_outcomes(instances: Sequence[ProblemInstance], node_limit: int) -> list[list[_SearchOutcome]] | None:

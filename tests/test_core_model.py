@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import semalloc as sm
 import semalloc.core_model as core_model
@@ -20,7 +22,10 @@ from semalloc import (
     validate_instance,
     with_probabilities,
 )
+from semalloc.cli import compare_rows
+from semalloc.core_model import Pricing
 from semalloc.solvers import solve_sip_grid
+from _support import make_random_instance
 
 
 def make_device(**overrides) -> EdgeDevice:
@@ -290,3 +295,126 @@ class TestInstanceUpdates:
             scale_on_demand_cost(inst, 1e-3)  # 15 * 1e-3 < alpha_reservation = 5
         with pytest.raises(ValueError):
             scale_on_demand_cost(inst, -1.0)
+
+
+DEMOS = ("singapore_demo", "cost_structure_demo", "interest_switch_demo", "single_device_demo", "zero_demand_demo")
+TABLES = ("requirements", "pricing", "bundle_upper_bounds")
+
+
+def derivations(instance: ProblemInstance, factor: float, probabilities) -> dict[str, ProblemInstance]:
+    return {
+        "scaled": scale_on_demand_cost(instance, factor),
+        "shifted": with_probabilities(instance, probabilities),
+    }
+
+
+def assert_tables_equal_fresh_ones(derived: ProblemInstance) -> None:
+    """Every table of ``derived`` equals that of a new instance of its fields: values, dtype, read-only."""
+    fresh = ProblemInstance(derived.devices, derived.vsps, derived.scenarios, derived.similarity)
+    pairs = [(derived.requirements, fresh.requirements), (derived.bundle_upper_bounds, fresh.bundle_upper_bounds)]
+    for name in Pricing._fields:
+        ours, theirs = getattr(derived.pricing, name), getattr(fresh.pricing, name)
+        if isinstance(theirs, np.ndarray):
+            pairs.append((ours, theirs))
+        else:
+            assert type(ours) is type(theirs) and ours == theirs, name
+    for ours, theirs in pairs:
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+        assert not ours.flags.writeable
+
+
+def identical_on_demand_pair(**overrides) -> tuple[EdgeDevice, EdgeDevice]:
+    """Two devices whose on-demand unit price is their coefficient; device 0's is one ulp above 15."""
+    params = dict(uplink_rate=1.0, transmit_power=1.0, avg_payload_semantic=1.0, **overrides)
+    return (
+        make_device(id=0, alpha_on_demand=math.nextafter(15.0, math.inf), **params),
+        make_device(id=1, alpha_on_demand=15.0, **params),
+    )
+
+
+class TestDerivedTables:
+    """Derived instances read their base's tables, which equal the tables they would build themselves."""
+
+    @pytest.mark.parametrize("demo", DEMOS)
+    def test_on_the_demos(self, demo):
+        base = sm.load_problem(sm.data_file(f"{demo}.json"))
+        uniform = [1.0 / base.num_scenarios] * base.num_scenarios
+        for derived in derivations(base, 2.5, uniform).values():
+            assert_tables_equal_fresh_ones(derived)
+        assert_tables_equal_fresh_ones(scale_on_demand_cost(with_probabilities(base, uniform), 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), factor=st.floats(0.34, 100.0))
+    def test_on_drawn_instances(self, seed, factor):
+        rng = np.random.default_rng(seed)
+        base = make_random_instance(rng, 4, 5, 4)  # devices share rates and powers, so prices often tie
+        weights = rng.integers(1, 4, size=base.num_scenarios)
+        for derived in derivations(base, factor, (weights / weights.sum()).tolist()).values():
+            assert_tables_equal_fresh_ones(derived)
+
+    def test_a_tie_made_by_scaling_moves_the_cheapest_device(self):
+        inst = tiny_instance()
+        base = ProblemInstance(identical_on_demand_pair(), inst.vsps, inst.scenarios, np.full((1, 2, 1), 0.5))
+        assert base.pricing.cheapest == 1
+        scaled = scale_on_demand_cost(base, 0.7)  # both coefficients round to one value
+        assert scaled.devices[0].alpha_on_demand == scaled.devices[1].alpha_on_demand
+        assert scaled.pricing.cheapest == 0
+        assert_tables_equal_fresh_ones(scaled)
+
+    def test_derived_instances_share_the_base_arrays(self, singapore):
+        for kind, derived in derivations(singapore, 2.0, [0.25, 0.75]).items():
+            assert derived.requirements is singapore.requirements
+            assert derived.bundle_upper_bounds is singapore.bundle_upper_bounds
+            for name in ("sizes", "memberships", "bundle_prices", "coverage", "snapped"):
+                assert getattr(derived.pricing, name) is getattr(singapore.pricing, name), (kind, name)
+        assert with_probabilities(singapore, [0.25, 0.75]).pricing is singapore.pricing
+
+    def test_deriving_builds_no_table(self):
+        base = sm.load_problem(sm.data_file("singapore_demo.json"))
+        derived = derivations(base, 2.0, [0.25, 0.75])
+        chained = with_probabilities(derived["scaled"], [0.5, 0.5])
+        for instance in (base, chained, *derived.values()):
+            assert not set(TABLES) & set(vars(instance))
+        chained.pricing  # the first use builds the base's table, which the scaled instance reads too
+        assert {"requirements", "pricing"} <= set(vars(base))
+        assert chained.pricing.coverage is base.pricing.coverage
+
+
+def ragged_instance() -> ProblemInstance:
+    inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10, 3), (5, 0)))
+    scenarios = (inst.scenarios[0], DemandScenario(0.5, inst.scenarios[1].per_vsp[:1]))
+    return ProblemInstance(inst.devices, inst.vsps, scenarios, inst.similarity)
+
+
+def subnormal_instance() -> ProblemInstance:
+    inst = tiny_instance(probabilities=(0.5, 0.5), quantities=((10,), (5,)))
+    return ProblemInstance(inst.devices, inst.vsps, inst.scenarios, [[[1e-320, 0.5]]])
+
+
+SOLVES = {"sip": sm.solve_sip, "grid": lambda inst: solve_sip_grid([inst, inst])}
+
+
+class TestABadBaseFailsOnceDerived:
+    """A derivation raises nothing a table would raise: the derived instance fails where its base does, at the solve."""
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    @pytest.mark.parametrize("kind", ["scaled", "shifted"])
+    def test_ragged_demand_lists_fail_validation(self, kind, solve):
+        derived = derivations(ragged_instance(), 2.0, [0.25, 0.75])[kind]
+        with pytest.raises(sm.ValidationFailure) as caught:
+            SOLVES[solve](derived)
+        assert str(caught.value) == "scenario 1 lists 1 vsp demands, expected 2"
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    @pytest.mark.parametrize("kind", ["scaled", "shifted"])
+    def test_a_subnormal_similarity_bounds_no_bundle_count(self, kind, solve):
+        derived = derivations(subnormal_instance(), 2.0, [0.25, 0.75])[kind]
+        with pytest.raises(sm.ConfigurationError) as caught:
+            SOLVES[solve](derived)
+        assert str(caught.value) == "VSP 0, device 0: similarity 1e-320 is too small to bound its bundle count"
+
+    @pytest.mark.parametrize("make", [ragged_instance, subnormal_instance])
+    def test_compare_reports_an_inverted_factor_first(self, make):
+        with pytest.raises(sm.ConfigurationError, match=r"must exceed .*; got 0\.001$"):
+            compare_rows(make(), (0.001, 2.0), 0, 5)

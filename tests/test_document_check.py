@@ -306,9 +306,53 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("documents")
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(document=mutated_documents())
-def test_decision_pointer_and_message_match_the_former_schema(workdir, document):
+# bad values by kind; two of different kinds in one row or record test which error takes precedence
+BAD_VALUES = {
+    "type": (True, None, "x", [], {}),
+    "wide": (10**400, -(10**400)),
+    "low": (-1, -0.5),
+    "high": (2, 1.5),
+    "fraction": (0.5, 1.5),
+}
+
+
+def _is_scalar(node) -> bool:
+    return not isinstance(node, (dict, list))
+
+
+def _places(document) -> dict[str, list]:
+    """The tensor rows of two or more values, and the records of two or more scalar fields, of ``document``."""
+    places: dict[str, list] = {"row": [], "record": []}
+    for path, node in _locations(document):
+        if isinstance(node, list) and len(node) >= 2 and path[:2] == ("similarity", "tensor") and len(path) == 4:
+            places["row"].append(node)
+        elif isinstance(node, dict) and sum(map(_is_scalar, node.values())) >= 2:
+            places["record"].append(node)
+    return places
+
+
+@st.composite
+def doubly_mutated_documents(draw):
+    """A seed with two bad values of different kinds: in one tensor row, or in two fields of one record.
+
+    In a tensor row the kinds are a non-number and an integer beyond the range
+    of a float, the two errors a row can hold, in either order.
+    """
+    where = draw(st.sampled_from(["row", "record"]))
+    document = copy.deepcopy(draw(st.sampled_from([seed for seed in SEEDS if _places(seed)[where]])))
+    node = draw(st.sampled_from(_places(document)[where]))
+    if where == "row":
+        keys, kinds = range(len(node)), draw(st.permutations(["type", "wide"]))
+    else:
+        keys = [key for key, value in node.items() if _is_scalar(value)]
+        kinds = draw(st.lists(st.sampled_from(sorted(BAD_VALUES)), min_size=2, max_size=2, unique=True))
+    for key, kind in zip(draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True)), kinds):
+        node[key] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES[kind])))
+    return document
+
+
+def _loader_agrees(workdir, document) -> None:
+    """``load_problem`` accepts ``document`` exactly when the oracle does, and rejects it with the oracle's error."""
     path = workdir / "problem.json"
     path.write_text(json.dumps(document))
     expected = oracle_error(document)
@@ -322,6 +366,18 @@ def test_decision_pointer_and_message_match_the_former_schema(workdir, document)
     except SemallocError:
         pass  # accepted by the schema, rejected later: ids, sums, shapes, ragged tensors
     assert expected is None, f"the schema rejects it with {expected!r}"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(document=mutated_documents())
+def test_decision_pointer_and_message_match_the_former_schema(workdir, document):
+    _loader_agrees(workdir, document)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(document=doubly_mutated_documents())
+def test_two_bad_values_of_different_kinds_in_one_row_or_record(workdir, document):
+    _loader_agrees(workdir, document)
 
 
 MULTI_RECORD = {"tensor": SEEDS[-2], "files": SEEDS[-1]}

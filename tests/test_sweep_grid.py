@@ -21,6 +21,7 @@ import semalloc.solvers as solvers
 from semalloc import NodeLimitError, RandomSchemeConfig, SolverConfig
 from semalloc.cli import compare_rows, parse_grid, plan_type, sweep_probability_rows
 from _support import make_random_instance, solution_to_dict
+from test_core_model import identical_on_demand_pair
 from test_recourse import build_instance
 from test_solvers import make_decimal_instance
 
@@ -276,3 +277,64 @@ class TestErrorsAndBudgets:
         with pytest.raises(sm.ValidationFailure) as raised:
             compare_rows(instance, (1.0, 2.0), 0, 5)
         assert str(raised.value) == str(expected.value)
+
+
+def solved_alone(instances) -> list:
+    """Each point's solution document from :func:`solve_sip`, or the package error the loop raises."""
+    try:
+        return [solution_to_dict(sm.solve_sip(instance)) for instance in instances]
+    except sm.SemallocError as error:
+        return [type(error), str(error)]
+
+
+def solved_as_a_grid(instances) -> list:
+    try:
+        return [solution_to_dict(solution) for solution in solvers.solve_sip_grid(instances)]
+    except sm.SemallocError as error:
+        return [type(error), str(error)]
+
+
+def grid_points(instance, kind: str, grid) -> list:
+    if kind == "factor":
+        return [sm.scale_on_demand_cost(instance, f) for f in grid]
+    return [sm.with_probabilities(instance, [p, 1.0 - p]) for p in grid]
+
+
+class TestGridSolutions:
+    """Every solution of a grid, plan, recourse tensor and cost bits, is the one :func:`solve_sip` gives its point."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(maker=st.sampled_from(sorted(MAKERS)), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["factor", "p"]))
+    def test_derived_and_separately_built_points(self, maker, seed, kind):
+        instance = two_scenario_instance(MAKERS[maker], seed)
+        derived = grid_points(instance, kind, parse_grid("1:3:0.25") if kind == "factor" else parse_grid("0:1:0.125"))
+        # the same grid, each point built anew: no two points' tables share an array
+        separate = [sm.ProblemInstance(p.devices, p.vsps, p.scenarios, p.similarity) for p in derived]
+        expected = solved_alone(derived)
+        assert solved_as_a_grid(derived) == expected
+        assert solved_as_a_grid(separate) == expected
+
+    def test_a_cheapest_device_that_moves_along_the_grid(self):
+        # device 1 is the cheaper on demand at factor 1; at 0.7 the scaled prices tie and device 0 wins
+        scenarios = tuple(sm.DemandScenario(p, (sm.VspDemand("k", 10, 1.0),)) for p in (0.5, 0.5))
+        instance = sm.ProblemInstance(identical_on_demand_pair(), (sm.Vsp(0),), scenarios, np.full((1, 2, 2), 0.5))
+        points = grid_points(instance, "factor", (1.0, 0.7))
+        assert [point.pricing.cheapest for point in points] == [1, 0]
+        solutions = solvers.solve_sip_grid(points)
+        assert [solution.recourse.on_demand[0, :, 0].tolist() for solution in solutions] == [[0, 10], [10, 0]]
+        assert [solution_to_dict(solution) for solution in solutions] == solved_alone(points)
+
+    def test_each_plan_is_priced_from_one_shortfall_computation(self, monkeypatch):
+        calls = []
+        computed = solvers._shortfalls
+
+        def counted(counts, pricing):
+            calls.append(counts.tobytes())
+            return computed(counts, pricing)
+
+        monkeypatch.setattr(solvers, "_shortfalls", counted)
+        points = grid_points(fleet_instance(4242, 0, 2), "p", parse_grid("0:1:0.05"))
+        solutions = solvers.solve_sip_grid(points)
+        plans = {solution.plan.bundles.tobytes() for solution in solutions}
+        assert len(calls) == len(plans) < len(points)
+        assert sorted(calls) == sorted(plans)
