@@ -187,16 +187,14 @@ class ProblemInstance:
 
         :func:`pricing_table` of the devices, the similarity tensor and the
         requirements, built on first use.  A derived instance reads its base's
-        table, recomputing ``cheapest`` and ``unit_price`` if its devices
-        differ (:func:`_derived`).
+        table (:func:`_derived`).
         """
-        source = self._source
-        if source is None:
+        if self._source is None:
             return pricing_table(self.devices, self.similarity, self.requirements)
-        if source.devices is self.devices:
-            return source.pricing
+        if self._source.devices is self.devices:
+            return self._source.pricing
         unit_price, cheapest = _on_demand_price(self.devices)
-        return source.pricing._replace(cheapest=cheapest, unit_price=unit_price)
+        return self._source.pricing._replace(cheapest=cheapest, unit_price=unit_price)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -429,8 +427,9 @@ def _derived(instance: ProblemInstance, devices, scenarios) -> ProblemInstance:
     """A new instance of ``devices`` and ``scenarios`` that reads ``instance``'s tables at its own first use.
 
     No table reads a probability, and only the pricing table's ``cheapest``
-    and ``unit_price`` read ``alpha_on_demand``; those two are recomputed if
-    the devices differ.  Deriving builds no table; validation is per instance.
+    and ``unit_price`` read ``alpha_on_demand``: those two are recomputed
+    when the devices differ.  Deriving builds no table; validation is per
+    instance.
     """
     derived = ProblemInstance(devices, instance.vsps, scenarios, instance.similarity)
     object.__setattr__(derived, "_source", instance)

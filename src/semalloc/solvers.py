@@ -649,10 +649,9 @@ def solve_sip_grid(instances: Sequence[ProblemInstance], config: SolverConfig | 
     not searched; otherwise the midpoint is.  Each distinct plan's
     shortfalls and recourse tensor are computed once among the points whose
     tables share ``coverage``, ``snapped`` and ``cheapest``, as instances
-    derived from one base do.  Priced on each point's table, a plan costs
-    what :func:`evaluate_total` gives it (a plan costs the same in any stack),
-    so the results are those of ``[solve_sip(instance, config) for instance
-    in instances]``.
+    derived from one base do, and priced on each point's table with the bits
+    of :func:`evaluate_total`, so the results are those of
+    ``[solve_sip(instance, config) for instance in instances]``.
 
     If a search is cut or a point fails, every point is solved by
     :func:`solve_sip` in grid order, so the error raised is that loop's.  A
